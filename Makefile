@@ -28,12 +28,16 @@ check:
 
 # Second test leg for hosts with gmpy2 installed: the cross-backend
 # bit-identity matrix gains its gmpy2 column, the whole crypto suite
-# runs forced onto the gmpy2 backend, and the backend benchmark arms its
-# >=3x gmpy2 gate (docs/performance.md, "Math backends").  Fails fast if
-# gmpy2 is not importable — this target is the opt-in, not the probe.
+# runs on the gmpy2 backend (the process default wherever gmpy2
+# imports), and the backend benchmark arms its >=3x gmpy2 gate
+# (docs/performance.md, "Math backends").  Fails fast if gmpy2 is not
+# importable or not the active backend — this target is the opt-in, not
+# the probe.
 check-gmpy2:
 	PYTHONPATH=src $(PYTHON) -c "import gmpy2; print('gmpy2', gmpy2.version())"
-	PYTHONPATH=src REPRO_MATH_BACKEND=gmpy2 $(PYTHON) -m pytest \
+	PYTHONPATH=src $(PYTHON) -c "from repro.mathutils.backends import backend_info; \
+		name = backend_info()['name']; assert name == 'gmpy2', name; print('backend', name)"
+	PYTHONPATH=src $(PYTHON) -m pytest \
 		tests/test_math_backends.py tests/test_mathutils.py \
 		tests/test_table_persistence.py tests/test_precompute.py -q
 	PYTHONPATH=src REPRO_FAST=1 $(PYTHON) -m pytest \
@@ -58,11 +62,11 @@ chaos-smoke:
 recovery-smoke:
 	PYTHONPATH=src $(PYTHON) tools/recovery_smoke.py
 
-# Offload gate: a 4-node daemon cluster with --crypto-workers 2 under
-# the adaptive policy.  On multi-core hosts SG02 decryption and BLS04
-# signing must run through the worker pools (visible in node_stats and
-# the Prometheus scrape); on a 1-core host the policy must instead keep
-# every op inline (choice="inline" decisions scraped, zero pool tasks).
+# Offload gate: a 4-node daemon cluster with --crypto-workers 2.  On
+# multi-core hosts SG02 decryption and BLS04 signing must run through
+# the worker pools (visible in node_stats and the Prometheus scrape); on
+# a 1-core host the nodes must instead build no pool (node_stats reason
+# few_cores, zero pool tasks, no workers).
 # Either way, no orphaned worker processes after SIGTERM
 # (docs/performance.md).
 offload-smoke:
@@ -87,11 +91,12 @@ federation-smoke:
 precompute-smoke:
 	PYTHONPATH=src $(PYTHON) tools/precompute_smoke.py
 
-# Workers-on/off ablation on the real asyncio service (pooled run under
-# the adaptive policy), persisted machine-readably to BENCH_offload.json
-# with a bounded history of prior runs (docs/performance.md).  Fails on
-# >=4-core hosts unless offload wins >=1.5x, and on 1-core hosts unless
-# the policy keeps throughput within noise of inline (>=0.95x).  Set
+# Workers-on/off ablation on the real asyncio service, persisted
+# machine-readably to BENCH_offload.json with a bounded history of prior
+# runs (docs/performance.md).  Fails on >=4-core hosts unless offload
+# wins >=1.5x, and on 1-core hosts unless the workers-on run (which
+# builds no pool there) holds throughput within noise of inline
+# (>=0.95x).  Set
 # REPRO_FAST=1 for a 4-node shape on small runners.
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) tools/bench_smoke.py

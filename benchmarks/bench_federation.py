@@ -59,7 +59,6 @@ async def _run_shape(
         routers=1,
         assignments={key_id: gid for gid, key_id in key_ids.items()},
         crypto_workers=workers,
-        offload_policy="always" if workers else "adaptive",
     )
     await cluster.start({key_id: material for key_id in key_ids.values()})
     client = cluster.client(max_retries=5)

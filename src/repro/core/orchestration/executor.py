@@ -31,7 +31,6 @@ from ...telemetry import CoreMetrics, adopt_trace
 from ...workers.pool import CryptoPool, CryptoPoolUnavailable
 from ..messages import ProtocolMessage
 from ..tri import ThresholdRoundProtocol
-from .coalescing import CryptoCoalescer
 from .instance import InstanceRecord
 
 logger = logging.getLogger(__name__)
@@ -55,7 +54,6 @@ class ProtocolExecutor:
         timeout: float | None = None,
         metrics: CoreMetrics | None = None,
         crypto_pool: CryptoPool | None = None,
-        coalescer: CryptoCoalescer | None = None,
     ):
         self.protocol = protocol
         self.record = record
@@ -63,7 +61,6 @@ class ProtocolExecutor:
         self._timeout = timeout
         self._metrics = metrics
         self._pool = crypto_pool
-        self._coalescer = coalescer
         self.inbox: asyncio.Queue[ProtocolMessage] = asyncio.Queue()
         # Inherit the RPC handler's trace when one is active (the request
         # entered at this node); otherwise the instance gets its own trace
@@ -255,37 +252,18 @@ class ProtocolExecutor:
             and self.protocol.supports_offload
         )
 
-    async def _run_pooled(self, op: str, fn, args: tuple):
-        """One pool execution, through the coalescer when one is wired."""
-        if self._coalescer is not None:
-            return await self._coalescer.run(op, fn, args)
-        return await self._pool.run(op, fn, *args)
-
     async def _compute_round(self) -> list[ProtocolMessage]:
-        """do_round, via the crypto pool when the policy rules to offload.
-
-        Both paths are timed and fed back to the pool's latency EWMAs, so
-        the adaptive policy keeps learning whichever way it ruled.
-        """
+        """do_round, through the crypto pool when there is one."""
         if self._pool is not None and self._pool.enabled:
             task = self.protocol.offload_round()
             if task is not None:
                 op, fn, args = task
-                if self._pool.decide(op).offload:
-                    started = time.perf_counter()
-                    try:
-                        result = await self._run_pooled(op, fn, args)
-                    except CryptoPoolUnavailable:
-                        pass  # degrade to inline; the pool counted the fallback
-                    else:
-                        self._pool.observe(
-                            op, "pool", time.perf_counter() - started
-                        )
-                        return self.protocol.apply_round(result)
-                started = time.perf_counter()
-                messages = self.protocol.do_round()
-                self._pool.observe(op, "inline", time.perf_counter() - started)
-                return messages
+                try:
+                    result = await self._pool.run(op, fn, *args)
+                except CryptoPoolUnavailable:
+                    pass  # run inline; the pool counted the spill or fallback
+                else:
+                    return self.protocol.apply_round(result)
         return self.protocol.do_round()
 
     def _admit_inline(self, message: ProtocolMessage) -> None:
@@ -343,35 +321,19 @@ class ProtocolExecutor:
                     self.inbox.put_nowait(message)
                 peers = peers[:deficit]
         verdicts: list | None = None
-        op: str | None = None
         if peers:
             task = self.protocol.offload_verify([m.payload for m in peers])
             if task is not None:
                 op, fn, args = task
-                if self._pool.decide(op).offload:
-                    started = time.perf_counter()
-                    try:
-                        verdicts = await self._run_pooled(op, fn, args)
-                    except CryptoPoolUnavailable:
-                        verdicts = None
-                    else:
-                        self._pool.observe(
-                            op,
-                            "pool",
-                            time.perf_counter() - started,
-                            items=len(peers),
-                        )
+                try:
+                    verdicts = await self._pool.run(op, fn, *args)
+                except CryptoPoolUnavailable:
+                    verdicts = None
         if peers and (verdicts is None or len(verdicts) != len(peers)):
-            # Policy ruled inline, the pool degraded, or the verdict shape
-            # was wrong: admit the (deficit-capped) batch inline — and time
-            # it, so the policy's inline EWMA keeps learning.
-            started = time.perf_counter()
+            # The pool spilled or degraded, or the verdict shape was
+            # wrong: admit the (deficit-capped) batch inline.
             for message in own + peers:
                 self._admit_inline(message)
-            if op is not None:
-                self._pool.observe(
-                    op, "inline", time.perf_counter() - started, items=len(peers)
-                )
             return
         for message in own:
             self._admit_inline(message)

@@ -55,7 +55,6 @@ class InstanceManager:
         max_pending: int | None = None,
         overload_retry_after: float = 0.25,
         crypto_pool=None,
-        coalescer=None,
     ):
         self.party_id = party_id
         self._send = send
@@ -63,8 +62,6 @@ class InstanceManager:
         # Shared by every executor this manager launches; None keeps all
         # crypto inline on the event loop (the pre-offload behaviour).
         self._crypto_pool = crypto_pool
-        # Cross-request batching layer over the pool (same sharing scope).
-        self._coalescer = coalescer
         self.metrics = CoreMetrics(
             registry if registry is not None else default_registry()
         )
@@ -127,7 +124,6 @@ class InstanceManager:
             timeout=timeout if timeout is not None else self._default_timeout,
             metrics=self.metrics,
             crypto_pool=self._crypto_pool,
-            coalescer=self._coalescer,
         )
         self._records[instance_id] = record
         self._executors[instance_id] = executor

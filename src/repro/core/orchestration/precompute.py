@@ -13,9 +13,9 @@ scheme behind one per-(key, operation) **precompute pool**:
   Each node derives the same deterministic instance id it would derive
   for the real request.
 * **Refill** — a background task materializes this node's own share for
-  each announced request during idle cycles, through the adaptive
-  :class:`~repro.workers.pool.CryptoPool` when the offload policy rules
-  for it, and stages it in the pool.  With ``eager`` refill the node
+  each announced request during idle cycles, through the
+  :class:`~repro.workers.pool.CryptoPool` when the node has one, and
+  stages it in the pool.  With ``eager`` refill the node
   also starts the protocol instance immediately, so share exchange,
   verification, and combination all run ahead of demand and the real
   request folds into the finished instance via the idempotent instance
@@ -46,6 +46,7 @@ from ...errors import ConfigurationError
 from ...storage.pool_journal import PoolJournal
 from ...telemetry import MetricRegistry, PrecomputeMetrics
 from ...workers.pool import CryptoPool, CryptoPoolUnavailable
+from ...workers.tasks import create_share
 from ..protocols.frost import FrostPrecomputationPool
 
 logger = logging.getLogger(__name__)
@@ -359,31 +360,20 @@ class PrecomputeService:
     async def _create(self, job: PrecomputeJob) -> bytes:
         """This node's own share for the announced request.
 
-        Routed through the adaptive crypto pool under the same op name as
-        the on-demand path, so the policy's EWMAs keep learning from both.
+        Routed through the crypto pool under the same op name as the
+        on-demand path.
         """
         operation = job.operation_factory()
         pool = self._crypto_pool
-        spec = None
         if pool is not None and pool.enabled:
             spec = operation.offload_spec(include_share=True)
-        if spec is not None:
-            op = f"{spec['scheme']}:create_share"
-            if pool.decide(op).offload:
-                from ...workers.refill import refill_shares
-
-                started = time.perf_counter()
+            if spec is not None:
                 try:
-                    payloads = await pool.run(op, refill_shares, [spec])
+                    return await pool.run(
+                        f"{spec['scheme']}:create_share", create_share, spec
+                    )
                 except CryptoPoolUnavailable:
-                    pass  # degrade to inline; the pool counted the fallback
-                else:
-                    pool.observe(op, "pool", time.perf_counter() - started)
-                    return payloads[0]
-            started = time.perf_counter()
-            payload = operation.create_own_share()
-            pool.observe(op, "inline", time.perf_counter() - started)
-            return payload
+                    pass  # run inline; the pool counted the spill or fallback
         return operation.create_own_share()
 
     def _start_eager(self, job: PrecomputeJob) -> None:

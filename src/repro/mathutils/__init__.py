@@ -4,7 +4,6 @@ from .backends import (
     active_backend,
     available_backends,
     backend_info,
-    set_backend,
     use_backend,
 )
 from .modular import (
@@ -44,7 +43,6 @@ __all__ = [
     "modexp",
     "modexp_many",
     "multiexp_mod",
-    "set_backend",
     "sqrt_mod_prime",
     "use_backend",
     "is_probable_prime",

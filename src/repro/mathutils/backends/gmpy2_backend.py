@@ -1,8 +1,8 @@
 """The gmpy2 backend: GMP-accelerated primitives, optional at runtime.
 
 Importing this module raises :class:`ImportError` when gmpy2 is absent;
-the registry auto-selects it only after a successful probe, and an
-explicit ``set_backend("gmpy2")`` surfaces a
+the registry selects it for the process only after a successful probe,
+and ``use_backend("gmpy2")`` without the library raises
 :class:`~repro.errors.ConfigurationError` instead of degrading silently.
 
 GMP's ``powmod`` uses sliding windows + Montgomery reduction in C, which

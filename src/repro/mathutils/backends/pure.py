@@ -50,7 +50,7 @@ class PureBackend:
             inv = inv * values[idx] % modulus
         return out
 
-    # -- batch entry points (unfused here; ``batched`` overrides) ----------
+    # -- batch entry points -------------------------------------------------
 
     def modexp_many(
         self, base: int, exponents: Sequence[int], modulus: int

@@ -2,7 +2,7 @@
 
 Since the math-backend registry (docs/performance.md, "Math backends")
 these functions are thin wrappers that dispatch through the active
-backend — pure Python, batched pure Python, or gmpy2 — and translate the
+backend — pure Python or gmpy2 — and translate the
 backends' ``ValueError`` domain errors into :class:`CryptoError`.  The
 public contracts below are unchanged from the original pure
 implementations, and every backend is bit-identical on them.
@@ -67,7 +67,7 @@ def modexp(base: int, exponent: int, modulus: int) -> int:
 
 
 def modexp_many(base: int, exponents: Sequence[int], modulus: int) -> list[int]:
-    """Many powers of one base in one pass (fused by capable backends)."""
+    """Many powers of one base: ``[base^e mod m for e in exponents]``."""
     try:
         return backends.modexp_many(base, exponents, modulus)
     except ValueError as exc:
@@ -75,7 +75,7 @@ def modexp_many(base: int, exponents: Sequence[int], modulus: int) -> list[int]:
 
 
 def multiexp_mod(pairs: Sequence[tuple[int, int]], modulus: int) -> int:
-    """Fused product ``Π base^exp mod modulus`` over ``(base, exp)`` pairs.
+    """Product ``Π base^exp mod modulus`` over ``(base, exp)`` pairs.
 
     Negative exponents are handled by inverting the base (``CryptoError``
     when not invertible) — the hot step of SH00's share combination.

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 from ..core.orchestration.precompute import PrecomputeConfig
 from ..errors import ConfigurationError
 from ..network.faults import FaultPlan
 from ..router.topology import Topology
+
+#: Fields older configs may carry that no longer exist; named in the error.
+REMOVED_FIELDS = ("offload_policy", "coalesce_window", "math_backend")
 
 
 @dataclass(frozen=True)
@@ -66,17 +69,9 @@ class NodeConfig:
     drain_timeout: float = 5.0
     # Crypto worker-pool offload (docs/performance.md): spawn-context
     # worker processes for the schemes' pairing/modexp-heavy steps.  0
-    # keeps every operation inline on the event loop.
+    # keeps every operation inline on the event loop, and so does a
+    # 1-core host, where the node builds no pool.
     crypto_workers: int = 0
-    # How pool submission is decided (docs/performance.md, "Adaptive
-    # offload"): "adaptive" gates each op on core count, queue depth, and
-    # the observed pool-vs-inline latency EWMAs; "always"/"never" force
-    # the static PR-5 behaviour (benchmarks, tests).
-    offload_policy: str = "adaptive"
-    # Cross-request batching window, seconds: concurrent instances' pool
-    # tasks arriving within it coalesce into one batched worker task.
-    # 0 disables coalescing.
-    coalesce_window: float = 0.002
     # Federation (docs/federation.md): which threshold group this node
     # belongs to ("" = the unsharded single-group deployment) and the
     # federation topology it should consult to redirect misrouted
@@ -91,11 +86,6 @@ class NodeConfig:
     # announced requests.  None keeps the node strictly on-demand (the
     # pre-pipeline behaviour); kg20 nonce pools work either way.
     precompute: PrecomputeConfig | None = None
-    # Math backend (docs/performance.md, "Math backends"): which big-int
-    # primitive implementation the node selects at start.  "auto" picks
-    # gmpy2 when importable, else the batched pure-Python backend; the
-    # REPRO_MATH_BACKEND environment variable overrides both.
-    math_backend: str = "auto"
 
     def __post_init__(self) -> None:
         if not 1 <= self.node_id <= self.parties:
@@ -124,25 +114,6 @@ class NodeConfig:
             raise ConfigurationError(
                 f"crypto_workers must be >= 0 (0 disables the pool), "
                 f"got {self.crypto_workers}"
-            )
-        from ..workers.policy import POLICY_MODES
-
-        if self.offload_policy not in POLICY_MODES:
-            raise ConfigurationError(
-                f"offload_policy must be one of {POLICY_MODES}, "
-                f"got {self.offload_policy!r}"
-            )
-        if self.coalesce_window < 0:
-            raise ConfigurationError(
-                f"coalesce_window must be >= 0 (0 disables coalescing), "
-                f"got {self.coalesce_window}"
-            )
-        from ..mathutils.backends import BACKEND_NAMES
-
-        if self.math_backend not in BACKEND_NAMES:
-            raise ConfigurationError(
-                f"math_backend must be one of {BACKEND_NAMES}, "
-                f"got {self.math_backend!r}"
             )
         if self.topology is not None and self.group_id:
             # A node claiming federation membership must exist in the
@@ -175,6 +146,18 @@ class NodeConfig:
     @staticmethod
     def from_json(text: str) -> "NodeConfig":
         payload = json.loads(text)
+        unknown = sorted(set(payload) - {f.name for f in fields(NodeConfig)})
+        if unknown:
+            removed = [name for name in unknown if name in REMOVED_FIELDS]
+            note = (
+                f" ({', '.join(removed)} removed: crypto dispatch and the "
+                "math backend no longer take options; delete the keys)"
+                if removed
+                else ""
+            )
+            raise ConfigurationError(
+                f"unknown node config fields: {', '.join(unknown)}{note}"
+            )
         peers = tuple(PeerConfig(**p) for p in payload.pop("peers", []))
         fanout = payload.pop("gossip_fanout", None)
         plan_payload = payload.pop("fault_plan", None)

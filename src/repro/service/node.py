@@ -53,9 +53,7 @@ from ..telemetry import (
     render_text,
     summarize,
 )
-from ..core.orchestration.coalescing import CryptoCoalescer
-from ..workers import CryptoPool
-from ..workers.policy import OffloadPolicy
+from ..workers import CryptoPool, host_pool
 from .config import NodeConfig
 from .server import RpcServer
 
@@ -80,13 +78,6 @@ class ThetacryptNode:
         crypto_pool: CryptoPool | None = None,
     ):
         self.config = config
-        # Math backend (docs/performance.md, "Math backends"): selected
-        # before any crypto object is touched so every primitive this node
-        # computes — inline, pooled, or precomputed — goes through it.
-        # "auto" honours the REPRO_MATH_BACKEND environment variable.
-        from ..mathutils.backends import set_backend
-
-        set_backend(config.math_backend)
         # Durability (docs/robustness.md): with a data_dir the node owns a
         # crash-safe keystore snapshot, an instance-lifecycle journal, and
         # an idempotent-result cache; previously persisted key shares are
@@ -150,28 +141,17 @@ class ThetacryptNode:
             self._storage_metrics = StorageMetrics(self.registry)
         # Crypto worker pool (docs/performance.md): an injected pool lets
         # several in-process nodes share one set of workers (they share
-        # this host's cores anyway); otherwise the node owns a private
-        # pool sized by config.crypto_workers — and only an owned pool is
-        # closed in stop(), injected ones belong to the injector.
-        self._owns_pool = crypto_pool is None and config.crypto_workers > 0
+        # this host's cores anyway) and is always used; otherwise the node
+        # owns a private pool sized by config.crypto_workers, built only
+        # on a multi-core host.  Only an owned pool is closed in stop().
         if crypto_pool is not None:
             self.crypto_pool: CryptoPool | None = crypto_pool
-        elif config.crypto_workers > 0:
-            self.crypto_pool = CryptoPool(
-                config.crypto_workers,
-                registry=self.registry,
-                policy=OffloadPolicy(mode=config.offload_policy),
-            )
+            self._pool_reason = "injected"
         else:
-            self.crypto_pool = None
-        # Cross-request batching over the pool (docs/performance.md):
-        # concurrent instances' share creations/verifications within the
-        # window coalesce into one batched worker task.
-        self._coalescer: CryptoCoalescer | None = None
-        if self.crypto_pool is not None and config.coalesce_window > 0:
-            self._coalescer = CryptoCoalescer(
-                self.crypto_pool, window=config.coalesce_window
+            self.crypto_pool, self._pool_reason = host_pool(
+                config.crypto_workers, registry=self.registry
             )
+        self._owns_pool = self._pool_reason == "configured"
         # Event-loop lag heartbeat: the direct measure of how long inline
         # crypto blocks everything else on this node's loop.
         self._lag_sampler = EventLoopLagSampler(self.registry)
@@ -185,10 +165,7 @@ class ThetacryptNode:
             max_pending=config.max_pending_instances,
             overload_retry_after=config.overload_retry_after,
             crypto_pool=self.crypto_pool,
-            coalescer=self._coalescer,
         )
-        if self._coalescer is not None:
-            self._coalescer.bind_metrics(self.instances.metrics)
         self.network.set_protocol_handler(self.instances.handle_network_message)
         self.rpc = RpcServer(self, config.rpc_host, config.rpc_port)
         self._metrics_http: MetricsHttpServer | None = None
@@ -374,7 +351,7 @@ class ThetacryptNode:
             # teardown above fails, or a SIGTERM'd daemon would leave
             # orphaned workers behind.  Injected pools belong to whoever
             # injected them (several nodes may share one).
-            if self.crypto_pool is not None and self._owns_pool:
+            if self._owns_pool:
                 await self.crypto_pool.close()
             # Flush + close durable state last: executor completions above
             # may still append terminal journal records.
@@ -796,9 +773,9 @@ class ThetacryptNode:
             # Which math backend this process computes with (docs/
             # performance.md, "Math backends").
             "crypto_backend": backend_info(),
-            # Worker-pool offload state (docs/performance.md): task
-            # counters, fallbacks, crashes, live worker pids, the adaptive
-            # policy's decisions/EWMAs, and cross-request coalescing.
+            # Worker-pool offload state (docs/performance.md): why the
+            # node has a pool or not, task counters, spills, fallbacks,
+            # crashes, and live worker pids.
             "crypto_pool": self._pool_stats(),
             # Precompute pipeline (docs/performance.md): per-pool staged
             # depths, refill queue/outcomes, served-source counters, and
@@ -813,11 +790,8 @@ class ThetacryptNode:
 
     def _pool_stats(self) -> dict:
         if self.crypto_pool is None:
-            return {"enabled": False, "workers": 0}
-        stats = self.crypto_pool.stats()
-        if self._coalescer is not None:
-            stats["coalescing"] = self._coalescer.stats()
-        return stats
+            return {"enabled": False, "workers": 0, "reason": self._pool_reason}
+        return {**self.crypto_pool.stats(), "reason": self._pool_reason}
 
     def key_info(self) -> list[dict]:
         return [

@@ -173,18 +173,6 @@ class CoreMetrics:
             "from the idempotent result cache (result_cache).",
             ("source",),
         )
-        self.crypto_batches = registry.counter(
-            "repro_crypto_coalesced_batches_total",
-            "Cross-request crypto batches flushed to the worker pool by "
-            "the coalescing admission layer, by batched operation.",
-            ("op",),
-        )
-        self.crypto_batched_items = registry.counter(
-            "repro_crypto_coalesced_items_total",
-            "Individual requests carried inside cross-request crypto "
-            "batches, by batched operation.",
-            ("op",),
-        )
 
 
 class StorageMetrics:
@@ -217,14 +205,16 @@ class CryptoPoolMetrics:
     ``outcome`` taxonomy of ``repro_crypto_pool_tasks_total``: ``ok`` (ran
     in a worker), ``error`` (ran in a worker and failed cryptographically,
     mirroring the inline failure), ``fallback`` (infrastructure failure —
-    crash/pickling/disabled — so the caller re-ran the work inline).
+    crash/pickling/disabled — so the caller re-ran the work inline),
+    ``spilled`` (the pool's backlog was full, so the caller ran it inline
+    without submitting).
     """
 
     def __init__(self, registry: MetricRegistry):
         self.tasks = registry.counter(
             "repro_crypto_pool_tasks_total",
             "Crypto-pool tasks by operation and outcome "
-            "(ok / error / fallback).",
+            "(ok / error / fallback / spilled).",
             ("op", "outcome"),
         )
         self.queue_depth = registry.gauge(
@@ -241,13 +231,6 @@ class CryptoPoolMetrics:
             "repro_crypto_pool_workers",
             "Configured worker processes of the live executor (0 when "
             "the pool is idle, disabled, or closed).",
-        )
-        self.policy_decisions = registry.counter(
-            "repro_crypto_pool_policy_decisions_total",
-            "Adaptive offload-policy rulings by operation, choice "
-            "(offload / inline) and deciding gate (forced / few_cores / "
-            "queue_full / pool_slower / probe / no_data / pool_ok).",
-            ("op", "choice", "reason"),
         )
         self.blob_cache = registry.counter(
             "repro_crypto_pool_blob_cache_total",
@@ -469,10 +452,10 @@ def register_math_backend_collector(
 ) -> None:
     """Expose the active math backend as an info-style metric.
 
-    ``repro_math_backend_info{backend=...,selected_via=...} 1`` — the
-    label pair identifies which primitive substrate this process computes
-    with (docs/performance.md, "Math backends"); refreshed at collect
-    time so a mid-run ``set_backend`` shows up on the next scrape.
+    ``repro_math_backend_info{backend=...} 1`` — the label identifies
+    which primitive substrate this process computes with
+    (docs/performance.md, "Math backends"); refreshed at collect time so
+    a temporary ``use_backend`` switch shows up on the next scrape.
     """
     registry = registry if registry is not None else default_registry()
     if registry.get("repro_math_backend_info") is not None:
@@ -480,18 +463,17 @@ def register_math_backend_collector(
     family = registry.gauge(
         "repro_math_backend_info",
         "Active math backend (constant 1; identity is in the labels).",
-        ("backend", "selected_via"),
+        ("backend",),
     )
 
-    seen: set[tuple[str, str]] = set()
+    seen: set[str] = set()
 
     def collect() -> None:
         from ..mathutils.backends import backend_info
 
-        info = backend_info()
-        current = (info["name"], info["selected_via"])
+        current = backend_info()["name"]
         seen.add(current)
-        for pair in seen:  # zero stale series after a mid-run switch
-            family.labels(*pair).set(1 if pair == current else 0)
+        for name in seen:  # zero stale series after a mid-run switch
+            family.labels(name).set(1 if name == current else 0)
 
     registry.register_collector(collect)

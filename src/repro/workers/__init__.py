@@ -3,9 +3,9 @@
 * :mod:`repro.workers.tasks` — pickle-safe task functions + warm-up
   initializer that runs inside spawn-context worker processes;
 * :mod:`repro.workers.pool` — :class:`CryptoPool`, the telemetry-wired
-  ProcessPoolExecutor wrapper with the inline-fallback contract;
-* :mod:`repro.workers.policy` — :class:`OffloadPolicy`, the adaptive
-  inline-vs-offload decision matrix (cores, queue depth, latency EWMAs);
+  ProcessPoolExecutor wrapper with the inline-fallback contract and the
+  backlog spill rule, and :func:`host_pool`, the core-count rule for
+  building one;
 * :mod:`repro.workers.blobs` — content-addressed key-material blobs, so
   key exports cross the process boundary once per worker, not per task;
 * :mod:`repro.workers.harness` — the workers-on/off ablation harness used
@@ -13,9 +13,7 @@
 """
 
 from .blobs import BlobStore, content_digest, parent_store, register_export
-from .policy import POLICY_MODES, OffloadPolicy, PolicyDecision
-from .pool import CryptoPool, CryptoPoolUnavailable
-from .refill import refill_shares
+from .pool import CryptoPool, CryptoPoolUnavailable, host_pool
 from .tasks import (
     DEFAULT_WARM_GROUPS,
     BlobCacheMissError,
@@ -29,12 +27,9 @@ __all__ = [
     "CryptoPool",
     "CryptoPoolUnavailable",
     "DEFAULT_WARM_GROUPS",
-    "OffloadPolicy",
-    "POLICY_MODES",
-    "PolicyDecision",
     "content_digest",
+    "host_pool",
     "parent_store",
-    "refill_shares",
     "register_export",
     "warm_worker",
     "worker_health",

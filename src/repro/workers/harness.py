@@ -6,7 +6,9 @@ all n nodes contend for a single event loop, exactly like n instances
 contending for one node's loop under heavy traffic.  ``workers > 0``
 attaches one shared :class:`CryptoPool` to every node (the in-process
 nodes share this host's cores, so sharing the pool models one node with
-that many cores).
+that many cores), built by the same core-count rule a node applies to
+its own pool (:func:`~repro.workers.pool.host_pool`): a 1-core host runs
+the workers-on configuration inline.
 
 Used by ``benchmarks/bench_fig4_capacity.py`` (the ablation panel) and
 ``tools/bench_smoke.py`` (the persisted ``BENCH_offload.json`` baseline).
@@ -23,8 +25,7 @@ from ..schemes.base import get_scheme
 from ..service.config import make_local_configs
 from ..service.node import ThetacryptNode
 from ..telemetry import summarize
-from .policy import OffloadPolicy
-from .pool import CryptoPool
+from .pool import host_pool
 
 
 @dataclass
@@ -90,16 +91,11 @@ async def run_capacity(
     workers: int = 0,
     material=None,
     instance_timeout: float = 300.0,
-    policy: str = "adaptive",
 ) -> AblationResult:
     """Drive ``requests`` concurrent cluster-wide operations and measure.
 
     Pass the same ``material`` to the workers-on and workers-off runs so
     the ablation compares execution, not key generation randomness.
-    ``policy`` selects the pool's offload policy mode: the default
-    "adaptive" measures what a real deployment does on this host (inline
-    on small hosts, pooled on big ones); "always" forces the static PR-5
-    offload for apples-to-apples pool measurements.
     """
     if material is None:
         material = generate_keys(scheme, threshold, parties)
@@ -111,11 +107,7 @@ async def run_capacity(
         instance_timeout=instance_timeout,
     )
     hub = LocalHub()
-    pool = (
-        CryptoPool(workers, policy=OffloadPolicy(mode=policy))
-        if workers > 0
-        else None
-    )
+    pool, pool_reason = host_pool(workers)
     nodes = [
         ThetacryptNode(
             config, transport=hub.endpoint(config.node_id), crypto_pool=pool
@@ -157,7 +149,10 @@ async def run_capacity(
         # All in-process nodes share one event loop, so any node's
         # heartbeat histogram describes the loop they all live on.
         lag = summarize(nodes[0].registry.get("repro_event_loop_lag_seconds"))
-        pool_stats = pool.stats() if pool is not None else {}
+        pool_stats = (
+            pool.stats() if pool is not None else {"enabled": False, "workers": 0}
+        )
+        pool_stats["reason"] = pool_reason
     finally:
         for node in nodes:
             await node.stop()
@@ -185,11 +180,10 @@ async def run_ablation(
     threshold: int = 3,
     requests: int = 6,
     workers: int = 2,
-    policy: str = "adaptive",
 ) -> tuple[AblationResult, AblationResult]:
     """(workers-off, workers-on) pair over identical key material."""
     offs, ons = await run_ablation_series(
-        scheme, parties, threshold, requests, workers=workers, policy=policy
+        scheme, parties, threshold, requests, workers=workers
     )
     return offs[0], ons[0]
 
@@ -200,16 +194,15 @@ async def run_ablation_series(
     threshold: int = 3,
     requests: int = 6,
     workers: int = 2,
-    policy: str = "adaptive",
     repeats: int = 1,
 ) -> tuple[list[AblationResult], list[AblationResult]]:
     """``repeats`` interleaved (off, on) pairs over identical key material.
 
     Interleaving matters when the comparison is an *equivalence* gate
-    (1-core hosts: pooled-but-inline must match workers-off within
-    noise): single runs drift a few percent over a process's lifetime —
-    allocator growth, cache pressure, CPU contention — so an off-then-on
-    pair systematically penalizes whichever run goes second.  Alternating
+    (1-core hosts: workers-on builds no pool and must match workers-off
+    within noise): single runs drift a few percent over a process's
+    lifetime — allocator growth, cache pressure, CPU contention — so an
+    off-then-on pair systematically penalizes whichever run goes second.  Alternating
     the two configurations and comparing means cancels that drift.
     """
     material = generate_keys(scheme, threshold, parties)
@@ -229,7 +222,6 @@ async def run_ablation_series(
                 requests,
                 workers=workers,
                 material=material,
-                policy=policy,
             )
         )
     return offs, ons

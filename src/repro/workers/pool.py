@@ -8,13 +8,15 @@ workers pre-build the PR-1 precompute tables (see
 :func:`repro.workers.tasks.warm_worker`), so the node scales with CPU
 count instead of being capped at one core.
 
-Offload is a *measured decision*, not a static flag: the pool carries an
-:class:`~repro.workers.policy.OffloadPolicy` and callers ask
-:meth:`CryptoPool.decide` before submitting, then report what they
-measured via :meth:`CryptoPool.observe`.  On a 1-core host — where the
-PR-5 static behaviour cost 0.66× throughput (``BENCH_offload.json``) —
-the policy keeps everything inline; on multi-core hosts it offloads and
-keeps watching the latency EWMAs.
+Dispatch follows two fixed rules.  A node builds its own pool only on a
+host with at least :data:`MIN_POOL_CORES` logical CPUs (see
+:func:`host_pool`): on one core a worker would only share the event
+loop's core, and pickle + IPC made the PR-5 pool cost 0.66× throughput
+there (``BENCH_offload.json``).  A pool that exists takes every
+offloadable op, unless its backlog has reached ``workers ×``
+:data:`MAX_QUEUE_PER_WORKER`; such an op *spills*: it runs inline and is
+counted as the ``spilled`` outcome, because it would wait longer in the
+pool than it takes to run.
 
 Key material travels by content digest (:mod:`repro.workers.blobs`):
 workers get the parent store's blobs at spawn time, and a task that
@@ -23,13 +25,14 @@ raises :class:`~repro.workers.tasks.BlobCacheMissError`, which the pool
 answers with exactly one retry that carries the blobs along.
 
 Degradation contract (unchanged from PR 5): the pool never makes an
-instance fail for *infrastructure* reasons.  A disabled pool
-(``crypto_workers=0``), a crashed worker, or an unpicklable task all raise
-:class:`CryptoPoolUnavailable` — callers catch exactly that and run the
-same computation inline, counted by the ``fallback`` outcome of
-``repro_crypto_pool_tasks_total``.  Genuine cryptographic failures raised
-*inside* a task (:class:`~repro.errors.ThetacryptError` subclasses)
-propagate unchanged, exactly as their inline counterparts would.
+instance fail for *infrastructure* reasons.  A full backlog, a disabled
+pool (``crypto_workers=0``), a crashed worker, or an unpicklable task all
+raise :class:`CryptoPoolUnavailable` — callers catch exactly that and run
+the same computation inline, counted by the ``spilled`` or ``fallback``
+outcome of ``repro_crypto_pool_tasks_total``.  Genuine cryptographic
+failures raised *inside* a task (:class:`~repro.errors.ThetacryptError`
+subclasses) propagate unchanged, exactly as their inline counterparts
+would.
 """
 
 from __future__ import annotations
@@ -38,16 +41,22 @@ import asyncio
 import functools
 import logging
 import multiprocessing
+import os
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
 from ..errors import ThetacryptError
 from ..telemetry import CryptoPoolMetrics, MetricRegistry, default_registry
 from .blobs import parent_store, parent_table_digests
-from .policy import OffloadPolicy, PolicyDecision
 from .tasks import DEFAULT_WARM_GROUPS, BlobCacheMissError, warm_worker
 
 logger = logging.getLogger(__name__)
+
+#: A node builds its own pool only with at least this many logical CPUs.
+MIN_POOL_CORES = 2
+
+#: Backlog per worker at which new ops spill inline instead of queueing.
+MAX_QUEUE_PER_WORKER = 8
 
 
 class CryptoPoolUnavailable(Exception):
@@ -73,14 +82,12 @@ class CryptoPool:
         workers: int,
         registry: MetricRegistry | None = None,
         warm_groups: tuple[str, ...] = DEFAULT_WARM_GROUPS,
-        policy: OffloadPolicy | None = None,
     ):
         self._workers = max(0, int(workers))
         self._warm_groups = tuple(warm_groups)
         self._metrics = CryptoPoolMetrics(
             registry if registry is not None else default_registry()
         )
-        self._policy = policy if policy is not None else OffloadPolicy()
         self._executor: ProcessPoolExecutor | None = None
         self._closed = False
         self._pending = 0
@@ -89,14 +96,10 @@ class CryptoPool:
         # keyed on it so concurrent in-flight tasks heal the same breakage
         # exactly once (see _heal).
         self._generation = 0
-        # Pool-path latency observations to discard after a spawn: the
-        # first task per worker pays process start + warm-up, which would
-        # poison the policy's pool EWMA with numbers that are not about
-        # steady-state offload cost.
-        self._observe_skip = 0
         self._tasks_ok = 0
         self._tasks_error = 0
         self._fallbacks = 0
+        self._spills = 0
         self._crashes = 0
         self._blob_retries = 0
 
@@ -109,14 +112,6 @@ class CryptoPool:
     @property
     def workers(self) -> int:
         return self._workers
-
-    @property
-    def policy(self) -> OffloadPolicy:
-        return self._policy
-
-    @property
-    def queue_depth(self) -> int:
-        return self._pending
 
     @property
     def worker_pids(self) -> list[int]:
@@ -150,34 +145,13 @@ class CryptoPool:
             "tasks_ok": self._tasks_ok,
             "tasks_error": self._tasks_error,
             "fallbacks": self._fallbacks,
+            "spills": self._spills,
             "crashes": self._crashes,
             "restarts": max(0, self._spawned - 1),
             "blob_retries": self._blob_retries,
             "worker_pids": self.worker_pids,
-            "policy": self._policy.stats(),
             "blob_cache": parent_store().stats(),
         }
-
-    # -- the adaptive policy ---------------------------------------------------
-
-    def decide(self, op: str) -> PolicyDecision:
-        """Should ``op`` be offloaded right now?  Counted per decision."""
-        decision = self._policy.decide(op, self._pending, self._workers)
-        self._metrics.policy_decisions.labels(
-            op, decision.choice, decision.reason
-        ).inc()
-        return decision
-
-    def observe(self, op: str, path: str, seconds: float, items: int = 1) -> None:
-        """Feed a measured execution into the policy's latency EWMAs.
-
-        The first ``workers`` pool-path samples after each spawn are
-        discarded — they price process start-up and warm-up, not offload.
-        """
-        if path == "pool" and self._observe_skip > 0:
-            self._observe_skip -= 1
-            return
-        self._policy.observe(op, path, seconds, items)
 
     # -- execution ------------------------------------------------------------
 
@@ -202,7 +176,6 @@ class CryptoPool:
             )
             self._spawned += 1
             self._generation += 1
-            self._observe_skip = self._workers
             self._metrics.workers.set(self._workers)
             if self._spawned > 1:
                 logger.warning(
@@ -241,8 +214,12 @@ class CryptoPool:
         A :class:`BlobCacheMissError` from the worker is answered with one
         retry carrying the missing blobs (resolved from the parent store);
         a second miss, or a digest the parent does not hold either, counts
-        as infrastructure failure.
+        as infrastructure failure.  With the backlog at ``workers ×
+        MAX_QUEUE_PER_WORKER`` the op spills: nothing is submitted.
         """
+        if self.enabled and self._pending >= self._workers * MAX_QUEUE_PER_WORKER:
+            self._count(op, "spilled")
+            raise CryptoPoolUnavailable("crypto pool backlog full")
         started = time.perf_counter()
         self._pending += 1
         self._metrics.queue_depth.set(self._pending)
@@ -330,6 +307,8 @@ class CryptoPool:
     def _count(self, op: str, outcome: str) -> None:
         if outcome == "fallback":
             self._fallbacks += 1
+        elif outcome == "spilled":
+            self._spills += 1
         self._metrics.tasks.labels(op, outcome).inc()
 
     # -- shutdown -------------------------------------------------------------
@@ -353,3 +332,19 @@ class CryptoPool:
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)
             self._metrics.workers.set(0)
+
+
+def host_pool(
+    workers: int, registry: MetricRegistry | None = None
+) -> tuple[CryptoPool | None, str]:
+    """The pool a node should own for ``crypto_workers=workers``.
+
+    Returns ``(pool, reason)``: no pool with ``"disabled"`` for zero
+    workers or ``"few_cores"`` below :data:`MIN_POOL_CORES` logical CPUs,
+    else a new pool with ``"configured"``.
+    """
+    if workers <= 0:
+        return None, "disabled"
+    if (os.cpu_count() or 1) < MIN_POOL_CORES:
+        return None, "few_cores"
+    return CryptoPool(workers, registry=registry), "configured"

@@ -285,35 +285,6 @@ def create_share(spec: dict, blobs: dict | None = None) -> bytes:
     raise ValueError(f"unknown operation kind {kind!r}")
 
 
-def create_share_batch(
-    specs: list[dict], blobs: dict | None = None
-) -> list[tuple[str, object]]:
-    """Cross-request batch of :func:`create_share` in one pool round trip.
-
-    The coalescing admission layer (``core.orchestration.coalescing``)
-    merges concurrent instances' share creations into one task so the
-    per-task pickle/IPC/scheduling overhead is paid once per window, not
-    once per request.  Results are per-index tagged ``("ok", payload)`` or
-    ``("error", reason)`` — one bad request must not fail its batchmates.
-    Digest misses are raised for the *whole* batch up front so the pool's
-    single retry re-runs it complete.
-    """
-    if blobs:
-        install_blob(list(blobs.items()))
-    missing: set[str] = set()
-    for spec in specs:
-        missing.update(_missing_digests(spec, include_share=True))
-    if missing:
-        raise BlobCacheMissError(sorted(missing))
-    results: list[tuple[str, object]] = []
-    for spec in specs:
-        try:
-            results.append(("ok", create_share(spec)))
-        except Exception as exc:  # noqa: BLE001 - tagged per item
-            results.append(("error", str(exc) or type(exc).__name__))
-    return results
-
-
 def verify_shares(
     spec: dict, payloads: list[bytes], blobs: dict | None = None
 ) -> list[str | None]:
@@ -361,53 +332,4 @@ def verify_shares(
         # happen if the batch API itself misbehaved; reject nothing, the
         # per-share checks are authoritative.
         pass
-    return verdicts
-
-
-def verify_shares_multi(
-    groups: list[tuple[dict, list[bytes]]], blobs: dict | None = None
-) -> list[list[str | None]]:
-    """Cross-request batch of :func:`verify_shares` in one round trip.
-
-    ``groups`` pairs each instance's spec with its drained payloads; the
-    result is index-aligned verdict lists.  Digest misses are raised for
-    the whole batch up front, like :func:`create_share_batch`.
-    """
-    if blobs:
-        install_blob(list(blobs.items()))
-    missing: set[str] = set()
-    for spec, _ in groups:
-        missing.update(_missing_digests(spec, include_share=False))
-    if missing:
-        raise BlobCacheMissError(sorted(missing))
-    return [verify_shares(spec, list(payloads)) for spec, payloads in groups]
-
-
-def kg20_verify_shares(
-    public_blob: bytes,
-    message: bytes,
-    commitment_payloads: list[bytes],
-    share_payloads: list[bytes],
-) -> list[str | None]:
-    """FROST signature-share verification (finalize-time, round 2).
-
-    KG20 is interactive, so its executor path stays inline, but the
-    finalize-time share checks are plain DL verifications against the
-    round-0 commitment list and offload cleanly.  Same verdict contract
-    as :func:`verify_shares`.
-    """
-    _, public = import_public_key(public_blob)
-    scheme = get_scheme("kg20")
-    commitments = [
-        kg20.NonceCommitment.from_bytes(payload, public.group)
-        for payload in commitment_payloads
-    ]
-    verdicts: list[str | None] = []
-    for payload in share_payloads:
-        try:
-            share = kg20.Kg20SignatureShare.from_bytes(payload)
-            scheme.verify_signature_share(public, message, share, commitments)
-            verdicts.append(None)
-        except Exception as exc:  # noqa: BLE001
-            verdicts.append(str(exc) or type(exc).__name__)
     return verdicts

@@ -1,16 +1,15 @@
-"""Adaptive offload policy, blob caching, coalescing, and pool healing.
+"""Crypto dispatch rules, blob caching, and pool healing.
 
-The PR-6 regression fix in four layers, each tested at its own seam:
+The layers of the pooled path, each tested at its own seam:
 
-* :class:`OffloadPolicy` — the inline-vs-offload decision matrix over
-  core count, queue depth, and latency EWMAs (pure logic, no processes);
+* the two dispatch rules — a node builds its own pool only on a
+  multi-core host (:func:`host_pool`), and a pool whose backlog is full
+  spills ops inline, counted as ``outcome="spilled"``;
 * :mod:`repro.workers.blobs` — content-addressed key-material caching,
   so exports cross the process boundary once per worker, not per task;
-* digest-referencing task specs — in-process miss/install/batch
-  semantics, plus the pool's one-retry-with-blobs behaviour end to end;
-* :class:`CryptoCoalescer` — cross-request batching over a fake pool
-  (window formation, per-item error isolation, failure fan-out) and the
-  instance manager's identical-request folding counter;
+* digest-referencing task specs — in-process miss/install semantics,
+  plus the pool's one-retry-with-blobs behaviour end to end;
+* the instance manager's identical-request folding counter;
 * :class:`CryptoPool` healing — a SIGKILLed worker observed by several
   in-flight tasks counts *one* crash, and ``worker_pids`` never raises.
 """
@@ -18,18 +17,17 @@ The PR-6 regression fix in four layers, each tested at its own seam:
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import os
 import signal
 import time
 
 import pytest
 
-from repro.core.orchestration.coalescing import CryptoCoalescer
-from repro.errors import ConfigurationError, CryptoError
 from repro.network.local import LocalHub
 from repro.schemes import generate_keys
 from repro.schemes.keystore import export_key_share, export_public_key
-from repro.service.config import NodeConfig, make_local_configs
+from repro.service.config import make_local_configs
 from repro.service.node import ThetacryptNode
 from repro.telemetry import MetricRegistry, parse_text, render_text
 from repro.workers import (
@@ -37,149 +35,103 @@ from repro.workers import (
     BlobStore,
     CryptoPool,
     CryptoPoolUnavailable,
-    OffloadPolicy,
     content_digest,
+    host_pool,
     parent_store,
     register_export,
 )
 from repro.workers import tasks as pool_tasks
+from repro.workers.pool import MAX_QUEUE_PER_WORKER
 
 
-# ---------------------------------------------------------------------------
-# The decision matrix.
-# ---------------------------------------------------------------------------
-
-
-class TestOffloadPolicy:
-    def test_mode_validation(self):
-        with pytest.raises(ConfigurationError):
-            OffloadPolicy(mode="sometimes")
-
-    def test_forced_modes_short_circuit(self):
-        always = OffloadPolicy(mode="always", cpu_count=1)
-        decision = always.decide("op", queue_depth=10_000, workers=1)
-        assert (decision.choice, decision.reason) == ("offload", "forced")
-        assert decision.offload
-
-        never = OffloadPolicy(mode="never", cpu_count=64)
-        decision = never.decide("op", queue_depth=0, workers=2)
-        assert (decision.choice, decision.reason) == ("inline", "forced")
-        assert not decision.offload
-
-    def test_few_cores_keeps_everything_inline(self):
-        policy = OffloadPolicy(cpu_count=1)
-        # Even with EWMAs saying the pool is fast, no spare core = inline.
-        policy.observe("op", "pool", 0.001)
-        policy.observe("op", "inline", 1.0)
-        for _ in range(5):
-            decision = policy.decide("op", queue_depth=0, workers=2)
-            assert (decision.choice, decision.reason) == ("inline", "few_cores")
-
-    def test_queue_gate_spills_inline(self):
-        policy = OffloadPolicy(cpu_count=8, max_queue_per_worker=4)
-        below = policy.decide("op", queue_depth=7, workers=2)
-        assert below.offload
-        at_limit = policy.decide("op", queue_depth=8, workers=2)
-        assert (at_limit.choice, at_limit.reason) == ("inline", "queue_full")
-
-    def test_no_data_then_pool_ok(self):
-        policy = OffloadPolicy(cpu_count=8)
-        first = policy.decide("op", queue_depth=0, workers=2)
-        assert (first.choice, first.reason) == ("offload", "no_data")
-        # With only one path observed there is nothing to compare: offload.
-        policy.observe("op", "pool", 0.010)
-        ruled = policy.decide("op", queue_depth=0, workers=2)
-        assert (ruled.choice, ruled.reason) == ("offload", "pool_ok")
-        # Pool comparable to inline (within the margin): still offload.
-        policy.observe("op", "inline", 0.009)
-        ruled = policy.decide("op", queue_depth=0, workers=2)
-        assert (ruled.choice, ruled.reason) == ("offload", "pool_ok")
-
-    def test_pool_slower_suppresses_with_probe_cadence(self):
-        policy = OffloadPolicy(cpu_count=8, slowdown_margin=1.25, probe_every=4)
-        policy.observe("op", "inline", 0.001)
-        policy.observe("op", "pool", 0.010)  # 10x slower: suppressed
-        choices = [
-            policy.decide("op", queue_depth=0, workers=2) for _ in range(8)
-        ]
-        reasons = [(d.choice, d.reason) for d in choices]
-        assert reasons == [
-            ("inline", "pool_slower"),
-            ("inline", "pool_slower"),
-            ("inline", "pool_slower"),
-            ("offload", "probe"),
-        ] * 2
-        # EWMAs are per-op: a different op is unaffected.
-        other = policy.decide("other", queue_depth=0, workers=2)
-        assert (other.choice, other.reason) == ("offload", "no_data")
-
-    def test_ewma_per_item_normalization_and_blend(self):
-        policy = OffloadPolicy(cpu_count=8, alpha=0.5)
-        policy.observe("op", "pool", 1.0, items=10)
-        assert policy.ewma("op", "pool") == pytest.approx(0.1)
-        policy.observe("op", "pool", 0.2, items=1)
-        # 0.5 * 0.2 + 0.5 * 0.1
-        assert policy.ewma("op", "pool") == pytest.approx(0.15)
-        assert policy.ewma("op", "inline") is None
-
-    def test_stats_aggregate_decisions_and_ewmas(self):
-        policy = OffloadPolicy(cpu_count=1)
-        for _ in range(3):
-            policy.decide("a", queue_depth=0, workers=2)
-        policy.observe("a", "inline", 0.004)
-        stats = policy.stats()
-        assert stats["mode"] == "adaptive"
-        assert stats["cores"] == 1
-        assert stats["decisions"] == {"inline": 3}
-        assert stats["reasons"] == {"few_cores": 3}
-        assert stats["ewma_ms"]["a"]["inline"] == pytest.approx(4.0)
-
-
-class TestPoolPolicyWiring:
-    def test_decide_exports_decision_metric(self):
-        registry = MetricRegistry()
-        pool = CryptoPool(
-            2, registry=registry, policy=OffloadPolicy(cpu_count=1)
+def _coin_cluster(keys, crypto_workers=0, crypto_pool=None):
+    configs = make_local_configs(
+        4, 1, transport="local", rpc_base_port=0, crypto_workers=crypto_workers
+    )
+    hub = LocalHub()
+    nodes = []
+    for config in configs:
+        node = ThetacryptNode(
+            config, transport=hub.endpoint(config.node_id), crypto_pool=crypto_pool
         )
-        decision = pool.decide("bls04:create_share")
-        assert (decision.choice, decision.reason) == ("inline", "few_cores")
+        node.install_key(
+            "cks05", "cks05", keys.public_key, keys.share_for(config.node_id)
+        )
+        nodes.append(node)
+    return nodes
+
+
+async def _flip(nodes, name: bytes) -> set[bytes]:
+    for node in nodes:
+        await node.start()
+    try:
+        return set(
+            await asyncio.gather(
+                *(node.run_request("coin", "cks05", name) for node in nodes)
+            )
+        )
+    finally:
+        for node in nodes:
+            await node.stop()
+
+
+# ---------------------------------------------------------------------------
+# The two dispatch rules.
+# ---------------------------------------------------------------------------
+
+
+class TestDispatchRules:
+    def test_one_core_host_builds_no_pool(self, monkeypatch, keys_cks05):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        children_before = set(multiprocessing.active_children())
+        nodes = _coin_cluster(keys_cks05, crypto_workers=2)
+        assert all(node.crypto_pool is None for node in nodes)
+        stats = nodes[0].stats()["crypto_pool"]
+        assert stats == {"enabled": False, "workers": 0, "reason": "few_cores"}
+        assert len(asyncio.run(_flip(nodes, b"one core coin"))) == 1
+        assert set(multiprocessing.active_children()) <= children_before
+
+    def test_host_pool_rules(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert host_pool(0) == (None, "disabled")
+        pool, reason = host_pool(2, registry=MetricRegistry())
+        assert reason == "configured" and pool.workers == 2
+        assert pool.worker_pids == []  # lazy: nothing spawned yet
+        pool.close_sync()
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert host_pool(2) == (None, "few_cores")
+
+    def test_injected_pool_is_always_used(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        pool = CryptoPool(1, registry=MetricRegistry())
+        config = make_local_configs(4, 1, transport="local", rpc_base_port=0)[0]
+        node = ThetacryptNode(
+            config, transport=LocalHub().endpoint(1), crypto_pool=pool
+        )
+        assert node.crypto_pool is pool
+        assert node.stats()["crypto_pool"]["reason"] == "injected"
+        pool.close_sync()
+
+    def test_backlogged_pool_spills_inline(self, keys_cks05):
+        """A pool held at its backlog limit runs every op inline."""
+        registry = MetricRegistry()
+        pool = CryptoPool(1, registry=registry)
+        pool._pending = MAX_QUEUE_PER_WORKER  # held: nothing ever drains
+        nodes = _coin_cluster(keys_cks05, crypto_pool=pool)
+        assert len(asyncio.run(_flip(nodes, b"spilled coin"))) == 1
+        stats = pool.stats()
+        assert stats["spills"] > 0
+        assert stats["tasks_ok"] == 0 and stats["fallbacks"] == 0
+        assert pool.worker_pids == [] and not stats["running"]
         parsed = parse_text(render_text(registry))
-        counted = sum(
+        spilled = sum(
             value
             for (name, labels), value in parsed.items()
-            if name == "repro_crypto_pool_policy_decisions_total"
-            and dict(labels)
-            == {
-                "op": "bls04:create_share",
-                "choice": "inline",
-                "reason": "few_cores",
-            }
+            if name == "repro_crypto_pool_tasks_total"
+            and dict(labels).get("outcome") == "spilled"
         )
-        assert counted == 1
-        assert pool.stats()["policy"]["reasons"] == {"few_cores": 1}
-
-    def test_observe_discards_warm_spawn_samples(self):
-        pool = CryptoPool(2, registry=MetricRegistry())
-        # What _ensure_executor sets right after a spawn: the first
-        # `workers` pool samples price process start-up, not offload.
-        pool._observe_skip = 2
-        pool.observe("op", "pool", 5.0)
-        pool.observe("op", "pool", 5.0)
-        assert pool.policy.ewma("op", "pool") is None
-        pool.observe("op", "pool", 0.010)
-        assert pool.policy.ewma("op", "pool") == pytest.approx(0.010)
-        # Inline samples are never start-up-contaminated: not skipped.
-        pool._observe_skip = 2
-        pool.observe("op", "inline", 0.002)
-        assert pool.policy.ewma("op", "inline") == pytest.approx(0.002)
-
-    def test_config_validates_policy_fields(self):
-        with pytest.raises(ConfigurationError):
-            NodeConfig(node_id=1, parties=4, threshold=1, offload_policy="no")
-        with pytest.raises(ConfigurationError):
-            NodeConfig(node_id=1, parties=4, threshold=1, coalesce_window=-0.1)
-        config = make_local_configs(4, 1, offload_policy="never")[0]
-        assert NodeConfig.from_json(config.to_json()).offload_policy == "never"
+        assert spilled == stats["spills"]
+        pool.close_sync()
 
 
 # ---------------------------------------------------------------------------
@@ -312,66 +264,6 @@ class TestDigestSpecs:
         )
         assert pooled == legacy
 
-    def test_batch_matches_sequential_bit_identical(self, digest_material):
-        material, public_blob, share_blobs = digest_material
-        message = b"batch vs sequential"
-        specs = [
-            _digest_spec(public_blob, share_blobs[party], message)
-            for party in (1, 2, 3)
-        ]
-        blobs = {content_digest(public_blob): public_blob}
-        blobs.update(
-            {content_digest(blob): blob for blob in share_blobs.values()}
-        )
-        batched = pool_tasks.create_share_batch(specs, blobs=blobs)
-        sequential = [pool_tasks.create_share(spec) for spec in specs]
-        assert [tag for tag, _ in batched] == ["ok", "ok", "ok"]
-        assert [value for _, value in batched] == sequential
-
-        # And the batched payloads verify like any others.
-        verify = _digest_spec(public_blob, None, message)
-        verdicts = pool_tasks.verify_shares(
-            verify, [value for _, value in batched]
-        )
-        assert verdicts == [None, None, None]
-
-    def test_batch_isolates_a_bad_item(self, digest_material):
-        material, public_blob, share_blobs = digest_material
-        good = _digest_spec(public_blob, share_blobs[1], b"good request")
-        bad = dict(good, kind="no-such-kind")
-        results = pool_tasks.create_share_batch([good, bad])
-        assert results[0][0] == "ok"
-        assert results[1][0] == "error"
-        assert "no-such-kind" in results[1][1]
-
-    def test_batch_prescans_all_missing_digests(self, digest_material):
-        material, public_blob, share_blobs = digest_material
-        resolvable = _digest_spec(public_blob, share_blobs[1], b"x")
-        phantom = content_digest(b"never installed anywhere")
-        unresolvable = dict(resolvable, share_digest=phantom)
-        with pytest.raises(BlobCacheMissError) as excinfo:
-            pool_tasks.create_share_batch([resolvable, unresolvable])
-        assert phantom in excinfo.value.digests
-
-    def test_verify_multi_matches_per_group(self, digest_material):
-        material, public_blob, share_blobs = digest_material
-        messages = [b"multi group A", b"multi group B"]
-        groups = []
-        for message in messages:
-            payloads = [
-                pool_tasks.create_share(
-                    _digest_spec(public_blob, share_blobs[party], message)
-                )
-                for party in (1, 2)
-            ]
-            groups.append((_digest_spec(public_blob, None, message), payloads))
-        multi = pool_tasks.verify_shares_multi(groups)
-        singles = [
-            pool_tasks.verify_shares(spec, payloads)
-            for spec, payloads in groups
-        ]
-        assert multi == singles == [[None, None], [None, None]]
-
 
 @pytest.mark.slow
 class TestPoolBlobRetry:
@@ -379,9 +271,7 @@ class TestPoolBlobRetry:
         """A digest registered *after* worker spawn round-trips via one
         retry; a digest nobody holds degrades to inline fallback."""
         registry = MetricRegistry()
-        pool = CryptoPool(
-            1, registry=registry, policy=OffloadPolicy(mode="always")
-        )
+        pool = CryptoPool(1, registry=registry)
 
         async def scenario():
             # Spawn + warm first: the warm install snapshots the parent
@@ -481,9 +371,7 @@ class TestHealOncePerGeneration:
         worker is SIGKILLed; ``crashes`` must count breakages (1), not
         observers (2).
         """
-        pool = CryptoPool(
-            2, registry=MetricRegistry(), policy=OffloadPolicy(mode="always")
-        )
+        pool = CryptoPool(2, registry=MetricRegistry())
 
         async def scenario():
             first = asyncio.ensure_future(
@@ -522,213 +410,8 @@ class TestHealOncePerGeneration:
 
 
 # ---------------------------------------------------------------------------
-# Cross-request coalescing.
+# Identical-request folding.
 # ---------------------------------------------------------------------------
-
-
-class FakePool:
-    """Records pool.run calls; behaviour injected per test."""
-
-    def __init__(self, handler):
-        self.calls: list[tuple[str, object, tuple]] = []
-        self._handler = handler
-
-    async def run(self, op, fn, *args):
-        self.calls.append((op, fn, args))
-        return await self._handler(op, fn, args)
-
-
-class TestCryptoCoalescer:
-    def _spec(self, tag: str) -> dict:
-        return {"scheme": "bls04", "kind": "sign", "data": tag.encode()}
-
-    def test_concurrent_creates_merge_into_one_batch(self):
-        async def handler(op, fn, args):
-            assert fn is pool_tasks.create_share_batch
-            (specs,) = args
-            return [("ok", spec["data"]) for spec in specs]
-
-        pool = FakePool(handler)
-        coalescer = CryptoCoalescer(pool, window=0.02)
-
-        async def scenario():
-            return await asyncio.gather(
-                *(
-                    coalescer.run(
-                        "bls04:create_share",
-                        pool_tasks.create_share,
-                        (self._spec(tag),),
-                    )
-                    for tag in ("a", "b", "c")
-                )
-            )
-
-        results = asyncio.run(scenario())
-        assert results == [b"a", b"b", b"c"]
-        assert len(pool.calls) == 1
-        op, fn, args = pool.calls[0]
-        assert op == "create_share_batch"
-        assert [spec["data"] for spec in args[0]] == [b"a", b"b", b"c"]
-        stats = coalescer.stats()
-        assert stats["batches"] == 1 and stats["batched_items"] == 3
-
-    def test_bad_item_fails_only_its_own_future(self):
-        async def handler(op, fn, args):
-            return [("ok", b"fine"), ("error", "bad spec")]
-
-        coalescer = CryptoCoalescer(FakePool(handler), window=0.02)
-
-        async def scenario():
-            return await asyncio.gather(
-                coalescer.run(
-                    "op", pool_tasks.create_share, (self._spec("good"),)
-                ),
-                coalescer.run(
-                    "op", pool_tasks.create_share, (self._spec("bad"),)
-                ),
-                return_exceptions=True,
-            )
-
-        good, bad = asyncio.run(scenario())
-        assert good == b"fine"
-        assert isinstance(bad, CryptoError)
-        assert "bad spec" in str(bad)
-
-    def test_pool_unavailable_fans_out_to_all_waiters(self):
-        async def handler(op, fn, args):
-            raise CryptoPoolUnavailable("induced")
-
-        coalescer = CryptoCoalescer(FakePool(handler), window=0.02)
-
-        async def scenario():
-            return await asyncio.gather(
-                *(
-                    coalescer.run(
-                        "op", pool_tasks.create_share, (self._spec(tag),)
-                    )
-                    for tag in ("a", "b")
-                ),
-                return_exceptions=True,
-            )
-
-        results = asyncio.run(scenario())
-        assert all(isinstance(r, CryptoPoolUnavailable) for r in results)
-
-    def test_lone_item_runs_as_the_single_task(self):
-        async def handler(op, fn, args):
-            assert fn is pool_tasks.create_share
-            return b"single result"
-
-        pool = FakePool(handler)
-        coalescer = CryptoCoalescer(pool, window=0.005)
-
-        async def scenario():
-            return await coalescer.run(
-                "bls04:create_share",
-                pool_tasks.create_share,
-                (self._spec("solo"),),
-            )
-
-        assert asyncio.run(scenario()) == b"single result"
-        # The single-item window preserves the original op label.
-        assert pool.calls == [
-            ("bls04:create_share", pool_tasks.create_share, (self._spec("solo"),))
-        ]
-        assert coalescer.stats()["singles"] == 1
-        assert coalescer.stats()["batches"] == 0
-
-    def test_full_bucket_flushes_before_the_window(self):
-        async def handler(op, fn, args):
-            return [("ok", spec["data"]) for spec in args[0]]
-
-        pool = FakePool(handler)
-        # A 10 s window: only the max_batch early flush can finish this
-        # test promptly, which is exactly what it asserts.
-        coalescer = CryptoCoalescer(pool, window=10.0, max_batch=2)
-
-        async def scenario():
-            started = asyncio.get_running_loop().time()
-            results = await asyncio.wait_for(
-                asyncio.gather(
-                    *(
-                        coalescer.run(
-                            "op", pool_tasks.create_share, (self._spec(tag),)
-                        )
-                        for tag in ("a", "b")
-                    )
-                ),
-                timeout=5.0,
-            )
-            return results, asyncio.get_running_loop().time() - started
-
-        results, elapsed = asyncio.run(scenario())
-        assert results == [b"a", b"b"]
-        assert elapsed < 5.0
-        assert coalescer.stats()["batches"] == 1
-
-    def test_verify_route_packs_groups(self):
-        async def handler(op, fn, args):
-            assert fn is pool_tasks.verify_shares_multi
-            (groups,) = args
-            return [[None] * len(payloads) for _, payloads in groups]
-
-        pool = FakePool(handler)
-        coalescer = CryptoCoalescer(pool, window=0.02)
-
-        async def scenario():
-            return await asyncio.gather(
-                coalescer.run(
-                    "bls04:verify_shares",
-                    pool_tasks.verify_shares,
-                    (self._spec("A"), [b"s1", b"s2"]),
-                ),
-                coalescer.run(
-                    "bls04:verify_shares",
-                    pool_tasks.verify_shares,
-                    (self._spec("B"), [b"s3"]),
-                ),
-            )
-
-        verdicts = asyncio.run(scenario())
-        assert verdicts == [[None, None], [None]]
-        assert pool.calls[0][0] == "verify_shares_multi"
-
-    def test_unroutable_fn_passes_straight_through(self):
-        async def handler(op, fn, args):
-            return {"pid": 1}
-
-        pool = FakePool(handler)
-        coalescer = CryptoCoalescer(pool, window=0.02)
-
-        async def scenario():
-            return await coalescer.run(
-                "health", pool_tasks.worker_health, ()
-            )
-
-        assert asyncio.run(scenario()) == {"pid": 1}
-        assert pool.calls == [("health", pool_tasks.worker_health, ())]
-        assert coalescer.stats()["batches"] == 0
-        assert coalescer.stats()["singles"] == 0
-
-    def test_shape_mismatch_fails_every_waiter(self):
-        async def handler(op, fn, args):
-            return [("ok", b"only one")]  # two items went in
-
-        coalescer = CryptoCoalescer(FakePool(handler), window=0.02)
-
-        async def scenario():
-            return await asyncio.gather(
-                *(
-                    coalescer.run(
-                        "op", pool_tasks.create_share, (self._spec(tag),)
-                    )
-                    for tag in ("a", "b")
-                ),
-                return_exceptions=True,
-            )
-
-        results = asyncio.run(scenario())
-        assert all(isinstance(r, CryptoError) for r in results)
 
 
 @pytest.mark.integration

@@ -25,7 +25,7 @@ from repro.service.config import NodeConfig, make_local_configs
 from repro.service.node import ThetacryptNode
 from repro.telemetry import MetricRegistry, summarize
 from repro.telemetry.instruments import EventLoopLagSampler
-from repro.workers import CryptoPool, CryptoPoolUnavailable, OffloadPolicy
+from repro.workers import CryptoPool, CryptoPoolUnavailable
 from repro.workers import tasks as pool_tasks
 
 
@@ -249,11 +249,9 @@ class TestClusterEquivalence:
 
         async def scenario():
             inline = await _run_all_kinds(_cluster(all_keys), all_keys)
-            # mode="always": this is an equivalence test, so the pool must
-            # actually run, whatever this host's core count would decide.
-            pool = CryptoPool(
-                2, registry=MetricRegistry(), policy=OffloadPolicy(mode="always")
-            )
+            # An injected pool is always used, whatever this host's core
+            # count: the equivalence below compares real pooled runs.
+            pool = CryptoPool(2, registry=MetricRegistry())
             try:
                 pooled = await _run_all_kinds(
                     _cluster(all_keys, crypto_pool=pool), all_keys
@@ -289,9 +287,7 @@ class TestClusterEquivalence:
                 self._count(op, "fallback")
                 raise CryptoPoolUnavailable("induced breakage")
 
-        pool = AlwaysBrokenPool(
-            2, registry=MetricRegistry(), policy=OffloadPolicy(mode="always")
-        )
+        pool = AlwaysBrokenPool(2, registry=MetricRegistry())
 
         async def scenario():
             nodes = _cluster({"bls04": keys_bls04}, crypto_pool=pool)
@@ -326,7 +322,11 @@ class TestServiceWiring:
         config = make_local_configs(4, 1, crypto_workers=3)[0]
         assert NodeConfig.from_json(config.to_json()).crypto_workers == 3
 
-    def test_node_stats_expose_pool_and_lag(self, keys_cks05):
+    def test_node_stats_expose_pool_and_lag(self, keys_cks05, monkeypatch):
+        # A node builds its own pool only on a multi-core host; pretend to
+        # be one so the pool assertions below hold on any host.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
         async def scenario():
             configs = make_local_configs(
                 4,
@@ -334,9 +334,6 @@ class TestServiceWiring:
                 transport="local",
                 rpc_base_port=0,
                 crypto_workers=1,
-                # Force offload so the pool assertions below hold on any
-                # host, 1-core CI included.
-                offload_policy="always",
             )
             hub = LocalHub()
             nodes = []
@@ -359,6 +356,7 @@ class TestServiceWiring:
                 stats = nodes[0].stats()
                 pool = stats["crypto_pool"]
                 assert pool["enabled"] and pool["workers"] == 1
+                assert pool["reason"] == "configured"
                 assert pool["tasks_ok"] >= 1 and pool["fallbacks"] == 0
                 assert "event_loop_lag" in stats
                 pids = [p for node in nodes for p in node.crypto_pool.worker_pids]

@@ -19,13 +19,7 @@ from repro.mathutils.backends import (
     available_backends,
     backend_info,
     gmpy2_available,
-    set_backend,
     use_backend,
-)
-from repro.mathutils.backends.batched import (
-    FUSE_MIN_BITS,
-    FUSE_MIN_EXPONENTS,
-    BatchedBackend,
 )
 from repro.mathutils.modular import (
     batch_inverse,
@@ -39,8 +33,8 @@ from repro.mathutils.modular import (
 
 ALL_BACKENDS = available_backends()
 
-P256 = 2**256 - 189  # 256-bit prime (below every fuse threshold)
-M1279 = 2**1279 - 1  # Mersenne prime (above FUSE_MIN_BITS)
+P256 = 2**256 - 189  # 256-bit prime (curve-field sized)
+M1279 = 2**1279 - 1  # Mersenne prime (RSA sized)
 P_3MOD4 = 10007
 P_1MOD4 = 10009
 
@@ -53,37 +47,25 @@ P_1MOD4 = 10009
 class TestSelection:
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
-            set_backend("vedic")
+            with use_backend("vedic"):
+                pass
 
-    def test_python_and_batched_always_available(self):
-        assert "python" in ALL_BACKENDS
-        assert "batched" in ALL_BACKENDS
+    def test_python_always_available(self):
+        assert ALL_BACKENDS == (
+            ["python", "gmpy2"] if gmpy2_available() else ["python"]
+        )
 
     @pytest.mark.skipif(gmpy2_available(), reason="gmpy2 present on this host")
     def test_explicit_gmpy2_fails_loud_when_absent(self):
         with pytest.raises(ConfigurationError):
-            set_backend("gmpy2")
+            with use_backend("gmpy2"):
+                pass
 
-    @pytest.mark.skipif(gmpy2_available(), reason="gmpy2 present on this host")
-    def test_auto_without_gmpy2_picks_batched(self, monkeypatch):
-        monkeypatch.delenv(backends.ENV_VAR, raising=False)
-        with use_backend("auto"):
-            info = backend_info()
-            assert info["name"] == "batched"
-            assert info["selected_via"] == "auto"
-            assert info["gmpy2_available"] is False
-
-    def test_env_override_wins_over_auto(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "python")
-        with use_backend("auto"):
-            info = backend_info()
-            assert info["name"] == "python"
-            assert info["selected_via"] == "env"
-
-    def test_bogus_env_value_ignored(self, monkeypatch):
-        monkeypatch.setenv(backends.ENV_VAR, "abacus")
-        with use_backend("auto"):
-            assert backend_info()["name"] in ("batched", "gmpy2")
+    def test_process_default_is_gmpy2_else_python(self):
+        info = backend_info()
+        assert info["name"] == ("gmpy2" if gmpy2_available() else "python")
+        assert info["gmpy2_available"] is gmpy2_available()
+        assert "selected_via" not in info
 
     def test_use_backend_restores_previous(self):
         before = backends.active_backend()
@@ -91,21 +73,16 @@ class TestSelection:
             assert backends.active_backend().name == "python"
         assert backends.active_backend() is before
 
-    def test_explicit_selection_reported(self):
+    def test_node_construction_keeps_backend(self):
+        """Building a node never touches the process-wide backend."""
+        from repro.network.local import LocalHub
+        from repro.service.config import make_local_configs
+        from repro.service.node import ThetacryptNode
+
+        config = make_local_configs(4, 1, transport="local", rpc_base_port=0)[0]
         with use_backend("python"):
-            assert backend_info()["selected_via"] == "explicit"
-
-    def test_node_config_validates_backend_name(self):
-        from repro.service.config import NodeConfig
-
-        with pytest.raises(ConfigurationError):
-            NodeConfig(node_id=1, parties=4, threshold=1, math_backend="slide-rule")
-
-    def test_node_config_accepts_all_names(self):
-        from repro.service.config import NodeConfig
-
-        for name in ("auto", "python", "batched", "gmpy2"):
-            NodeConfig(node_id=1, parties=4, threshold=1, math_backend=name)
+            ThetacryptNode(config, transport=LocalHub().endpoint(1))
+            assert backends.active_backend().name == "python"
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +132,7 @@ class TestPrimitiveEquivalence:
 
     def test_modexp_many(self, backend):
         rng = random.Random(103)
-        for modulus, count in ((P256, 8), (M1279, FUSE_MIN_EXPONENTS + 3)):
+        for modulus, count in ((P256, 8), (M1279, 7)):
             base = rng.randrange(2, modulus)
             exps = [rng.randrange(0, modulus) for _ in range(count)] + [0, 1]
             expected = _reference(modexp_many, base, exps, modulus)
@@ -197,31 +174,6 @@ class TestPrimitiveEquivalence:
         with use_backend(backend):
             with pytest.raises(CryptoError):
                 sqrt_mod_prime(non_residue, P_3MOD4)
-
-
-class TestBatchedFusion:
-    """The batched backend's fused paths engage exactly where advertised."""
-
-    def test_small_modulus_delegates(self):
-        # Below FUSE_MIN_BITS the answers must still match (delegation).
-        b = BatchedBackend()
-        assert P256.bit_length() < FUSE_MIN_BITS
-        exps = list(range(20))
-        assert b.modexp_many(3, exps, P256) == [pow(3, e, P256) for e in exps]
-
-    def test_fused_path_engages_and_matches(self):
-        b = BatchedBackend()
-        rng = random.Random(105)
-        exps = [rng.randrange(M1279) for _ in range(FUSE_MIN_EXPONENTS + 4)]
-        assert b.modexp_many(5, exps, M1279) == [pow(5, e, M1279) for e in exps]
-
-    def test_multiexp_negative_exponents_normalized(self):
-        b = BatchedBackend()
-        pairs = [(3, -(2**800)), (5, 2**900), (7, 0)]
-        expected = 1
-        for base, exp in pairs:
-            expected = expected * pow(base, exp, M1279) % M1279
-        assert b.multiexp(pairs, M1279) == expected
 
 
 # ---------------------------------------------------------------------------

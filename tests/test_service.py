@@ -1,6 +1,7 @@
 """Service layer: config, node wiring, both RPC endpoint families, faults."""
 
 import asyncio
+import json
 
 import pytest
 
@@ -43,6 +44,46 @@ class TestConfig:
         peers = (PeerConfig(1, "h", 1), PeerConfig(2, "h", 2))
         config = NodeConfig(node_id=1, parties=2, threshold=1, peers=peers)
         assert 1 not in config.peer_map()
+
+    def test_unknown_field_rejected_by_name(self):
+        payload = json.loads(make_local_configs(4, 1)[0].to_json())
+        payload["bogus"] = 1
+        with pytest.raises(ConfigurationError, match="bogus") as excinfo:
+            NodeConfig.from_json(json.dumps(payload))
+        assert "removed" not in str(excinfo.value)
+
+    def test_older_config_names_removed_fields(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            NodeConfig.from_json(OLDER_CONFIG)
+        message = str(excinfo.value)
+        assert (
+            "coalesce_window, math_backend, offload_policy "
+            "(coalesce_window, math_backend, offload_policy removed" in message
+        )
+        # Without the removed keys the same file loads.
+        payload = json.loads(OLDER_CONFIG)
+        for name in ("offload_policy", "coalesce_window", "math_backend"):
+            del payload[name]
+        assert NodeConfig.from_json(json.dumps(payload)).crypto_workers == 0
+
+
+#: A node config as ``tools/deal_keys.py`` wrote it before the offload
+#: policy, the pool coalescer and the math-backend option were removed.
+OLDER_CONFIG = """{
+  "node_id": 1, "parties": 2, "threshold": 1,
+  "listen_host": "127.0.0.1", "listen_port": 17001,
+  "rpc_host": "127.0.0.1", "rpc_port": 18001,
+  "peers": [{"node_id": 1, "host": "127.0.0.1", "port": 17001},
+            {"node_id": 2, "host": "127.0.0.1", "port": 17002}],
+  "transport": "tcp", "enable_tob": true, "tob_sequencer": 1,
+  "tob_block_interval": 0.0, "gossip_fanout": null, "instance_timeout": 60.0,
+  "rpc_auth_token": "", "metrics_port": null, "fault_plan": null,
+  "data_dir": null, "max_pending_instances": null,
+  "overload_retry_after": 0.25, "drain_timeout": 5.0, "crypto_workers": 0,
+  "offload_policy": "adaptive", "coalesce_window": 0.002,
+  "group_id": "", "topology": null, "precompute": null,
+  "math_backend": "auto"
+}"""
 
 
 class TestInstanceIdDerivation:

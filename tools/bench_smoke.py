@@ -3,19 +3,20 @@
 Runs the workers-on/off ablation from ``repro.workers.harness`` against an
 in-process BLS04 cluster and writes ``BENCH_offload.json`` next to the repo
 root — the latest run (scheme, n/t, worker count, ops/s, request p50/p99,
-event-loop lag p99, pool task counters, and the adaptive policy's
-decisions) plus a bounded ``history`` of prior runs' summaries, so the
-perf trajectory on a machine survives re-runs instead of being overwritten.
+event-loop lag p99, pool task counters, and why the run had a pool or
+not) plus a bounded ``history`` of prior runs' summaries, so the perf
+trajectory on a machine survives re-runs instead of being overwritten.
 
-The pool runs under the **adaptive** offload policy — the deployment
-default — so what this gate checks is what a real node does on this host:
+The workers-on run builds its pool by the rule a node applies to its own
+(:func:`repro.workers.pool.host_pool`), so what this gate checks is what a
+real node does on this host:
 
-* 1-core host: the policy keeps every op inline (``few_cores``), the pool
-  never spawns, and throughput must stay within noise of the inline run
+* 1-core host: no pool is built (reason ``few_cores``), nothing spawns,
+  and throughput must stay within noise of the inline run
   (``speedup ≥ 0.95`` — the PR-5 static behaviour measured 0.66×).  This
   is an equivalence gate, so the two configurations run as interleaved
   repeats and the means are compared (cancels in-process drift);
-* ≥2 cores: the policy routes through the pool (tasks ran, no fallbacks);
+* ≥2 cores: every op goes through the pool (tasks ran, no fallbacks);
 * ≥4 cores: the throughput (≥1.5×) and loop-lag claims apply.
 
 Usage::
@@ -59,7 +60,7 @@ async def measure(
 ):
     return await run_ablation_series(
         scheme, parties, threshold, requests=requests, workers=workers,
-        policy="adaptive", repeats=repeats,
+        repeats=repeats,
     )
 
 
@@ -78,10 +79,7 @@ def _summary(payload: dict) -> dict:
             "ops_per_sec_off", runs[0].get("ops_per_sec") if runs else None
         ),
         "ops_per_sec_on": payload.get("ops_per_sec_on", on.get("ops_per_sec")),
-        "policy": {
-            "mode": on.get("pool", {}).get("policy", {}).get("mode"),
-            "decisions": on.get("pool", {}).get("policy", {}).get("decisions"),
-        },
+        "pool_reason": on.get("pool", {}).get("reason"),
     }
 
 
@@ -121,8 +119,8 @@ def main(argv: list[str] | None = None) -> int:
         parties, threshold, requests = 16, 3, 6
 
     cores = os.cpu_count() or 1
-    # The 1-core check is an *equivalence* gate (pooled-but-inline must
-    # match workers-off within noise), which a single off/on pair cannot
+    # The 1-core check is an *equivalence* gate (workers-on without a
+    # pool must match workers-off within noise), which a single off/on pair cannot
     # resolve: individual runs drift a few percent within one process.
     # Interleaved repeats cancel the drift; comparing means is then a
     # fair ±2% measurement.  Multi-core gates (1.5x) are coarse enough
@@ -130,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     repeats = 3 if cores == 1 else 1
     print(
         f"offload ablation: {args.scheme} n={parties} t={threshold}, "
-        f"{requests} concurrent requests, {cores} cores, adaptive policy, "
+        f"{requests} concurrent requests, {cores} cores, "
         f"{repeats} interleaved pair(s)"
     )
     offs, ons = asyncio.run(
@@ -138,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     off_ops = sum(r.ops_per_sec for r in offs) / len(offs)
     on_ops = sum(r.ops_per_sec for r in ons) / len(ons)
-    # Everything except throughput (pool counters, policy decisions, lag)
+    # Everything except throughput (pool counters, lag)
     # is identical across repeats; report and gate on the last pair.
     off, on = offs[-1], ons[-1]
 
@@ -153,11 +151,9 @@ def main(argv: list[str] | None = None) -> int:
             f"pool ok={result.pool.get('tasks_ok', 0)} "
             f"fallbacks={result.pool.get('fallbacks', 0)}"
         )
-    policy = on.pool.get("policy", {})
     print(
-        f"  policy: mode={policy.get('mode')} cores={policy.get('cores')} "
-        f"decisions={policy.get('decisions', {})} "
-        f"reasons={policy.get('reasons', {})}"
+        f"  pool: {on.pool.get('reason')} "
+        f"(enabled={on.pool.get('enabled')}, spills={on.pool.get('spills', 0)})"
     )
 
     out = Path(args.out)
@@ -184,29 +180,28 @@ def main(argv: list[str] | None = None) -> int:
     speedup = payload["speedup_ops_per_sec"] or 0.0
     failures = []
     if cores >= 2:
-        # Multi-core: the policy must actually route through the pool.
+        # Multi-core: every op must actually go through the pool.
         if on.pool.get("tasks_ok", 0) <= 0:
             failures.append("pool executed no tasks")
         if on.pool.get("fallbacks", 0) != 0:
             failures.append(f"pooled run fell back inline {on.pool['fallbacks']}x")
     else:
         # 1-core host — the environment of the measured 0.66× regression.
-        # The adaptive policy must keep every op inline and hold
-        # throughput within noise of the workers-off run.
-        reasons = policy.get("reasons", {})
-        if policy.get("decisions", {}).get("offload", 0) != 0:
+        # No pool may be built, and throughput must hold within noise of
+        # the workers-off run.
+        if on.pool.get("enabled") or on.pool.get("reason") != "few_cores":
+            failures.append(f"pool built on a 1-core host: {on.pool}")
+        if on.pool.get("worker_pids"):
             failures.append(
-                f"policy offloaded on a 1-core host: {policy.get('decisions')}"
+                f"pool spawned workers on a 1-core host: {on.pool['worker_pids']}"
             )
-        if reasons.get("few_cores", 0) <= 0:
-            failures.append(f"policy never ruled few_cores: {reasons}")
         if on.pool.get("tasks_ok", 0) != 0:
             failures.append(
                 f"pool ran {on.pool['tasks_ok']} tasks despite 1 core"
             )
         if speedup < 0.95:
             failures.append(
-                f"adaptive policy cost throughput on 1 core: "
+                f"workers-on cost throughput on 1 core: "
                 f"{speedup:.2f}x < 0.95x"
             )
     # The throughput claim needs spare cores for the workers; on smaller

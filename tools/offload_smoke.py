@@ -5,17 +5,18 @@ The docs/performance.md contract, exercised end to end on real daemon
 processes:
 
 * deal keys for a 4-node (t = 1) TCP cluster and start each daemon with
-  ``--crypto-workers 2`` — every node owns a 2-process crypto pool under
-  the default **adaptive** offload policy;
+  ``--crypto-workers 2`` — on a multi-core host every node owns a
+  2-process crypto pool that takes every offloadable op;
 * finalize one SG02 encrypt→decrypt round trip and one BLS04 signature
   cluster-wide (both schemes offload share creation *and* batched share
   verification);
 * on a multi-core host (``cpu_count >= 2``), assert via ``node_stats``
   that every node's pool ran tasks without inline fallbacks, and via the
   Prometheus scrape that ``repro_crypto_pool_tasks_total{outcome="ok"}``
-  counted them; on a 1-core host, assert the opposite — the policy kept
-  every op inline (``repro_crypto_pool_policy_decisions_total`` scraped
-  with ``choice="inline"``, zero pool tasks, no workers spawned);
+  counted them; on a 1-core host, assert the opposite — the node built
+  no pool and kept every op inline (``node_stats`` reports the pool
+  disabled with reason ``few_cores``, zero pool tasks scraped, no workers
+  spawned);
 * either way, the ``repro_event_loop_lag_seconds`` heartbeat must be live;
 * SIGTERM the daemons and assert none of the previously reported worker
   pids survives teardown — a daemon must not orphan its pool processes.
@@ -115,7 +116,6 @@ async def drive(client: ThetacryptClient) -> list[int]:
     for node_id in range(1, PARTIES + 1):
         stats = await client.node_stats(node_id)
         pool = stats.get("crypto_pool", {})
-        assert pool.get("enabled"), f"node {node_id}: pool not enabled: {pool}"
         assert pool.get("fallbacks", 0) == 0, (
             f"node {node_id}: pooled crypto fell back inline: {pool}"
         )
@@ -128,7 +128,10 @@ async def drive(client: ThetacryptClient) -> list[int]:
             and dict(labels).get("outcome") == "ok"
         )
         if cores >= 2:
-            # Multi-core host: the adaptive policy routes through the pool.
+            # Multi-core host: the node's own pool takes every op.
+            assert pool.get("enabled") and pool.get("reason") == "configured", (
+                f"node {node_id}: pool not enabled: {pool}"
+            )
             assert pool.get("tasks_ok", 0) >= 1, (
                 f"node {node_id}: pool ran no tasks: {pool}"
             )
@@ -137,23 +140,20 @@ async def drive(client: ThetacryptClient) -> list[int]:
                 f"node {node_id}: repro_crypto_pool_tasks_total ok={pool_ok}"
             )
         else:
-            # 1-core host: the adaptive policy must keep every op inline —
-            # no pool tasks, no worker processes, and the decision counter
-            # scraped with choice="inline".
+            # 1-core host: the node must build no pool and keep every op
+            # inline — no pool tasks, no worker processes, and the reason
+            # reported in node_stats.
+            assert not pool.get("enabled") and pool.get("reason") == "few_cores", (
+                f"node {node_id}: pool built on a 1-core host: {pool}"
+            )
             assert pool.get("tasks_ok", 0) == 0, (
-                f"node {node_id}: policy offloaded on a 1-core host: {pool}"
+                f"node {node_id}: pool ran tasks on a 1-core host: {pool}"
             )
             assert not pids, (
-                f"node {node_id}: pool spawned workers it never used: {pids}"
+                f"node {node_id}: pool spawned workers on a 1-core host: {pids}"
             )
-            inline_decisions = sum(
-                value
-                for (name, labels), value in parsed.items()
-                if name == "repro_crypto_pool_policy_decisions_total"
-                and dict(labels).get("choice") == "inline"
-            )
-            assert inline_decisions >= 1, (
-                f"node {node_id}: no inline policy decisions scraped"
+            assert pool_ok == 0, (
+                f"node {node_id}: repro_crypto_pool_tasks_total ok={pool_ok}"
             )
         worker_pids.extend(pids)
         lag_samples = sum(
