@@ -30,10 +30,8 @@ from repro.core.orchestration.precompute import (
     PrecomputeConfig,
     derive_instance_id,
 )
-from repro.network.local import LocalHub
 from repro.schemes import generate_keys
-from repro.service.config import make_local_configs
-from repro.service.node import ThetacryptNode
+from repro.testing import LocalCluster
 
 from _common import fast_mode, host_cores, print_table, requires_cores
 
@@ -46,50 +44,16 @@ PARTIES, THRESHOLD = 4, 1
 HISTORY_LIMIT = 20
 
 
-async def _start_cluster(materials: dict, precompute) -> list[ThetacryptNode]:
-    configs = make_local_configs(
-        PARTIES,
-        THRESHOLD,
-        transport="local",
-        rpc_base_port=0,
-        precompute=precompute,
-    )
-    hub = LocalHub(latency=lambda a, b: 0.001)
-    nodes = []
-    for config in configs:
-        node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-        for key_id, km in materials.items():
-            node.install_key(
-                key_id, km.scheme, km.public_key, km.share_for(config.node_id)
-            )
-        await node.start()
-        nodes.append(node)
-    return nodes
-
-
-async def _stop_cluster(nodes: list[ThetacryptNode]) -> None:
-    for node in nodes:
-        await node.stop()
-
-
-async def _timed_request(
-    nodes: list[ThetacryptNode], kind: str, key_id: str, data: bytes
-) -> tuple[float, bytes]:
-    """One client-shaped fan-out: submit on every node, await the results."""
-    started = time.perf_counter()
-    results = await asyncio.gather(
-        *(node.run_request(kind, key_id, data) for node in nodes)
-    )
-    return time.perf_counter() - started, results[0]
-
-
 async def _measure_requests(
-    nodes: list[ThetacryptNode], kind: str, key_id: str, datas: list[bytes]
+    cluster: LocalCluster, kind: str, key_id: str, datas: list[bytes]
 ) -> list[float]:
+    """One client-shaped fan-out per data item (submit on every node, await
+    the results); returns each request's latency."""
     latencies = []
     for data in datas:
-        latency, _ = await _timed_request(nodes, kind, key_id, data)
-        latencies.append(latency)
+        started = time.perf_counter()
+        await cluster.run_request(kind, key_id, data)
+        latencies.append(time.perf_counter() - started)
     return latencies
 
 
@@ -98,23 +62,24 @@ async def _warm_vs_cold(km, key_id: str, kind: str, requests: int) -> dict:
     materials = {key_id: km}
 
     # -- cold: the pre-pipeline on-demand path --------------------------------
-    nodes = await _start_cluster(materials, None)
-    try:
+    async with LocalCluster(materials, PARTIES, THRESHOLD) as cluster:
+        nodes = cluster.nodes
         datas = [f"cold {kind} {i}".encode() for i in range(requests)]
         if kind == "decrypt":
             datas = [
                 nodes[0].scheme_encrypt(key_id, payload, b"")
                 for payload in datas
             ]
-        cold = await _measure_requests(nodes, kind, key_id, datas)
-    finally:
-        await _stop_cluster(nodes)
+        cold = await _measure_requests(cluster, kind, key_id, datas)
 
     # -- warm: announce, let the pipeline finish, then request ----------------
-    nodes = await _start_cluster(
-        materials, PrecomputeConfig(depth=requests, eager=True)
-    )
-    try:
+    async with LocalCluster(
+        materials,
+        PARTIES,
+        THRESHOLD,
+        precompute=PrecomputeConfig(depth=requests, eager=True),
+    ) as cluster:
+        nodes = cluster.nodes
         datas = [f"warm {kind} {i}".encode() for i in range(requests)]
         if kind == "decrypt":
             datas = [
@@ -132,11 +97,9 @@ async def _warm_vs_cold(km, key_id: str, kind: str, requests: int) -> dict:
         await asyncio.gather(
             *(nodes[0].instances.result(iid) for iid in instance_ids)
         )
-        warm = await _measure_requests(nodes, kind, key_id, datas)
+        warm = await _measure_requests(cluster, kind, key_id, datas)
         served = nodes[0].stats()["precompute"]["served"]
         assert served.get(f"{kind}/pool", 0) == requests, served
-    finally:
-        await _stop_cluster(nodes)
 
     return {
         "scheme": km.scheme,
@@ -163,15 +126,17 @@ async def _foreground_run(
         if busy_refill
         else None
     )
-    nodes = await _start_cluster({key_id: km}, precompute)
-    try:
+    async with LocalCluster(
+        {key_id: km}, PARTIES, THRESHOLD, precompute=precompute
+    ) as cluster:
+        nodes = cluster.nodes
         # One untimed warm-up request: excludes cold-start costs from both
         # modes and — in the busy-refill mode — arms the refill loop's
         # idle-grace window, as any live service's traffic would, so the
         # announce below cannot slip one refill job in front of the first
         # measured request.
         warmup = nodes[0].scheme_encrypt(key_id, f"{tag} warmup".encode(), b"")
-        await _timed_request(nodes, "decrypt", key_id, warmup)
+        await cluster.run_request("decrypt", key_id, warmup)
         if busy_refill:
             # Announce a backlog of *other* requests: the refill loop has
             # work queued for the whole foreground window, but idle gating
@@ -189,7 +154,7 @@ async def _foreground_run(
             for i in range(requests)
         ]
         started = time.perf_counter()
-        latencies = await _measure_requests(nodes, "decrypt", key_id, datas)
+        latencies = await _measure_requests(cluster, "decrypt", key_id, datas)
         duration = time.perf_counter() - started
         refills = {}
         if busy_refill:
@@ -203,8 +168,6 @@ async def _foreground_run(
             "p50": statistics.median(latencies),
             "refills": refills,
         }
-    finally:
-        await _stop_cluster(nodes)
 
 
 def _load_history() -> list[dict]:

@@ -15,14 +15,13 @@ rate region.
 import asyncio
 import time
 
-from repro.network.local import LocalHub
 from repro.schemes import generate_keys
-from repro.service import ThetacryptClient, ThetacryptNode, make_local_configs
 from repro.sim.cluster import SimulatedThetaNetwork
 from repro.sim.deployments import Deployment
 from repro.sim.latency import LatencyModel, Region
 from repro.sim.metrics import latency_percentile, summarize
 from repro.sim.workload import Workload
+from repro.testing import LocalCluster
 
 from _common import fast_mode, ms, print_table
 
@@ -33,17 +32,10 @@ SECONDS_PER_RATE = 2.0
 
 async def _measure_live(rates):
     keys = generate_keys("cks05", THRESHOLD, PARTIES)
-    configs = make_local_configs(PARTIES, THRESHOLD, transport="local", rpc_base_port=0)
-    hub = LocalHub(latency=lambda a, b: 0.001)
-    nodes = []
-    for config in configs:
-        node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-        node.install_key(
-            "coin", keys.scheme, keys.public_key, keys.share_for(config.node_id)
-        )
-        await node.start()
-        nodes.append(node)
-    client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
+    cluster = LocalCluster({"coin": keys}, PARTIES, THRESHOLD)
+    nodes = cluster.nodes
+    await cluster.start()
+    client = cluster.client()
     results = {}
     sequence = 0
     try:
@@ -80,9 +72,7 @@ async def _measure_live(rates):
                 node.instances._records.clear()
                 node.instances._executors.clear()
     finally:
-        await client.close()
-        for node in nodes:
-            await node.stop()
+        await cluster.stop()
     return results
 
 

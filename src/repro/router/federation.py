@@ -1,8 +1,8 @@
 """In-process federated deployments: R routers × G threshold groups.
 
-The single-group analogue is ``tests/test_service._start_network``; this
-harness scales that idiom out to a sharded deployment for tests and
-benchmarks without spawning processes:
+Every group is a :class:`~repro.testing.cluster.LocalCluster` — the
+single-group harness the tests use — scaled out to a sharded deployment
+for tests and benchmarks without spawning processes:
 
 * every group is an independent Θ-network on its own :class:`LocalHub`
   (separate hubs — groups share no transport, exactly like separate
@@ -24,38 +24,21 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..network.faults import FaultPlan
-from ..network.local import LocalHub
 from ..service.client import ThetacryptClient
-from ..service.config import NodeConfig, make_local_configs
 from ..service.node import ThetacryptNode
+from ..testing.cluster import LocalCluster
 from .daemon import RouterDaemon
 from .ring import DEFAULT_VNODES
 from .topology import GroupSpec, Topology
 
 
-class GroupRuntime:
-    """One running threshold group: its hub, nodes, and configs."""
-
-    def __init__(self, group_id: str, hub: LocalHub, configs: list[NodeConfig]):
-        self.group_id = group_id
-        self.hub = hub
-        self.configs = configs
-        self.nodes: list[ThetacryptNode] = []
-        self.running = False
-
-    def members(self) -> dict[int, tuple[str, int]]:
-        return {
-            node.config.node_id: node.rpc_address for node in self.nodes
-        }
-
-
 class FederatedCluster:
     """R routers × G groups, entirely inside one asyncio loop.
 
-    ``group_overrides`` maps group id → NodeConfig override kwargs for
-    that group only (e.g. a ``fault_plan`` to crash one shard, or a
-    ``data_dir``); ``overrides`` applies to every node.
+    ``group_overrides`` maps group id → :class:`LocalCluster` keyword
+    overrides for that group only (e.g. a ``fault_plan`` to crash one
+    shard, or a ``data_dir`` root for its nodes); ``overrides`` applies
+    to every group.
     """
 
     def __init__(
@@ -87,22 +70,18 @@ class FederatedCluster:
             assignments=dict(assignments or {}),
         )
         self.topology: Topology | None = None  # live, set by start()
-        self.groups: dict[str, GroupRuntime] = {}
-        group_overrides = group_overrides or {}
-        for gid in group_ids:
-            extra = {**overrides, **dict(group_overrides.get(gid, {}))}
-            configs = make_local_configs(
-                parties,
-                threshold,
-                transport="local",
-                rpc_base_port=0,
+        self.groups: dict[str, LocalCluster] = {
+            gid: LocalCluster(
+                parties=parties,
+                threshold=threshold,
+                latency=latency,
                 rpc_auth_token=auth_token,
                 group_id=gid,
                 topology=self.provisional,
-                **extra,
+                **{**overrides, **dict((group_overrides or {}).get(gid, {}))},
             )
-            hub = LocalHub(latency=lambda a, b: latency)
-            self.groups[gid] = GroupRuntime(gid, hub, configs)
+            for gid in group_ids
+        }
 
     # -- key placement ---------------------------------------------------------
 
@@ -120,26 +99,17 @@ class FederatedCluster:
         ``all_keys`` maps key id → dealer ``KeyMaterial``; each key is
         installed only on its owning group's nodes.
         """
-        for runtime in self.groups.values():
-            for config in runtime.configs:
-                node = ThetacryptNode(
-                    config, transport=runtime.hub.endpoint(config.node_id)
-                )
-                if all_keys:
-                    for key_id, material in all_keys.items():
-                        if self.owner_of(key_id) != runtime.group_id:
-                            continue
-                        node.install_key(
-                            key_id,
-                            material.scheme,
-                            material.public_key,
-                            material.share_for(config.node_id),
-                        )
-                await node.start()
-                runtime.nodes.append(node)
-            runtime.running = True
+        for gid, group in self.groups.items():
+            group.install_keys(
+                {
+                    key_id: material
+                    for key_id, material in (all_keys or {}).items()
+                    if self.owner_of(key_id) == gid
+                }
+            )
+            await group.start()
         self.topology = self.provisional.with_members(
-            {gid: runtime.members() for gid, runtime in self.groups.items()}
+            {gid: group.members() for gid, group in self.groups.items()}
         )
         for index in range(self._router_count):
             daemon = RouterDaemon(
@@ -153,21 +123,14 @@ class FederatedCluster:
 
     async def stop_group(self, group_id: str) -> None:
         """Chaos helper: take one whole shard down mid-run."""
-        runtime = self.groups[group_id]
-        for node in runtime.nodes:
-            await node.stop()
-        runtime.running = False
+        await self.groups[group_id].stop()
 
     async def stop(self) -> None:
         for daemon in self.routers:
             await daemon.stop()
         self.routers.clear()
-        for runtime in self.groups.values():
-            if not runtime.running:
-                continue
-            for node in runtime.nodes:
-                await node.stop()
-            runtime.running = False
+        for group in self.groups.values():
+            await group.stop()
 
     # -- client access ---------------------------------------------------------
 

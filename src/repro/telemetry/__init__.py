@@ -10,6 +10,7 @@ from .exposition import (
     MetricsHttpServer,
     parse_text,
     render_text,
+    sample_sum,
 )
 from .instruments import (
     ChannelMetrics,
@@ -79,6 +80,7 @@ __all__ = [
     "register_fixedbase_collector",
     "register_math_backend_collector",
     "render_text",
+    "sample_sum",
     "start_trace",
     "summarize",
 ]

@@ -131,6 +131,17 @@ def parse_text(text: str) -> dict[tuple[str, tuple[tuple[str, str], ...]], float
     return out
 
 
+def sample_sum(parsed: dict, name: str, **labels: str) -> float:
+    """Sum of the ``name`` samples in a :func:`parse_text` result whose
+    labels include ``labels`` (a subset match); 0.0 when none match."""
+    wanted = set(labels.items())
+    return sum(
+        value
+        for (sample_name, sample_labels), value in parsed.items()
+        if sample_name == name and wanted <= set(sample_labels)
+    )
+
+
 def _split_label_pairs(blob: str) -> list[str]:
     """Split ``a="x",b="y"`` on commas outside quotes."""
     pairs, current, in_quotes, escaped = [], [], False, False

@@ -1,9 +1,10 @@
 """Workers-on/off ablation harness: a real cluster, not the simulator.
 
-Boots an n-node Thetacrypt cluster on a :class:`LocalHub` transport inside
-one process — the configuration where inline crypto hurts most, because
-all n nodes contend for a single event loop, exactly like n instances
-contending for one node's loop under heavy traffic.  ``workers > 0``
+Boots an n-node Thetacrypt cluster
+(:class:`~repro.testing.cluster.LocalCluster`) inside one process — the
+configuration where inline crypto hurts most, because all n nodes
+contend for a single event loop, exactly like n instances contending
+for one node's loop under heavy traffic.  ``workers > 0``
 attaches one shared :class:`CryptoPool` to every node (the in-process
 nodes share this host's cores, so sharing the pool models one node with
 that many cores), built by the same core-count rule a node applies to
@@ -19,12 +20,11 @@ from __future__ import annotations
 import asyncio
 from dataclasses import asdict, dataclass, field
 
-from ..network.local import LocalHub
 from ..schemes import generate_keys
 from ..schemes.base import get_scheme
-from ..service.config import make_local_configs
-from ..service.node import ThetacryptNode
+from ..sim.metrics import latency_percentile
 from ..telemetry import summarize
+from ..testing.cluster import LocalCluster
 from .pool import host_pool
 
 
@@ -72,17 +72,6 @@ def _build_requests(
     return requests
 
 
-def _quantile(sorted_values: list[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    position = q * (len(sorted_values) - 1)
-    low = int(position)
-    high = min(low + 1, len(sorted_values) - 1)
-    return sorted_values[low] + (sorted_values[high] - sorted_values[low]) * (
-        position - low
-    )
-
-
 async def run_capacity(
     scheme: str = "bls04",
     parties: int = 16,
@@ -99,39 +88,23 @@ async def run_capacity(
     """
     if material is None:
         material = generate_keys(scheme, threshold, parties)
-    configs = make_local_configs(
+    pool, pool_reason = host_pool(workers)
+    cluster = LocalCluster(
+        {scheme: material},
         parties,
         threshold,
-        transport="local",
-        rpc_base_port=0,
+        latency=0.0,
+        crypto_pool=pool,
         instance_timeout=instance_timeout,
     )
-    hub = LocalHub()
-    pool, pool_reason = host_pool(workers)
-    nodes = [
-        ThetacryptNode(
-            config, transport=hub.endpoint(config.node_id), crypto_pool=pool
-        )
-        for config in configs
-    ]
-    for node in nodes:
-        node.install_key(
-            scheme,
-            scheme,
-            material.public_key,
-            material.share_for(node.config.node_id),
-        )
     loop = asyncio.get_running_loop()
     latencies: list[float] = []
     try:
-        for node in nodes:
-            await node.start()
+        await cluster.start()
 
         async def run_one(kind: str, data: bytes, label: bytes) -> None:
             started = loop.time()
-            await asyncio.gather(
-                *(node.run_request(kind, scheme, data, label) for node in nodes)
-            )
+            await cluster.run_request(kind, scheme, data, label)
             latencies.append(loop.time() - started)
 
         # Warm-up request: spawns + warms pool workers, promotes the
@@ -148,17 +121,17 @@ async def run_capacity(
         duration = loop.time() - started
         # All in-process nodes share one event loop, so any node's
         # heartbeat histogram describes the loop they all live on.
-        lag = summarize(nodes[0].registry.get("repro_event_loop_lag_seconds"))
+        lag = summarize(
+            cluster.nodes[0].registry.get("repro_event_loop_lag_seconds")
+        )
         pool_stats = (
             pool.stats() if pool is not None else {"enabled": False, "workers": 0}
         )
         pool_stats["reason"] = pool_reason
     finally:
-        for node in nodes:
-            await node.stop()
+        await cluster.stop()
         if pool is not None:
             await pool.close()
-    latencies.sort()
     return AblationResult(
         scheme=scheme,
         parties=parties,
@@ -167,8 +140,8 @@ async def run_capacity(
         requests=requests,
         duration=duration,
         ops_per_sec=requests / duration if duration > 0 else 0.0,
-        latency_p50=_quantile(latencies, 0.5),
-        latency_p99=_quantile(latencies, 0.99),
+        latency_p50=latency_percentile(latencies, 50) if latencies else 0.0,
+        latency_p99=latency_percentile(latencies, 99) if latencies else 0.0,
         loop_lag_p99=float(lag.get("p99", 0.0)),
         pool=pool_stats,
     )

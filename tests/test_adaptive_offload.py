@@ -29,7 +29,8 @@ from repro.schemes import generate_keys
 from repro.schemes.keystore import export_key_share, export_public_key
 from repro.service.config import make_local_configs
 from repro.service.node import ThetacryptNode
-from repro.telemetry import MetricRegistry, parse_text, render_text
+from repro.telemetry import MetricRegistry, parse_text, render_text, sample_sum
+from repro.testing import LocalCluster
 from repro.workers import (
     BlobCacheMissError,
     BlobStore,
@@ -44,35 +45,9 @@ from repro.workers import tasks as pool_tasks
 from repro.workers.pool import MAX_QUEUE_PER_WORKER
 
 
-def _coin_cluster(keys, crypto_workers=0, crypto_pool=None):
-    configs = make_local_configs(
-        4, 1, transport="local", rpc_base_port=0, crypto_workers=crypto_workers
-    )
-    hub = LocalHub()
-    nodes = []
-    for config in configs:
-        node = ThetacryptNode(
-            config, transport=hub.endpoint(config.node_id), crypto_pool=crypto_pool
-        )
-        node.install_key(
-            "cks05", "cks05", keys.public_key, keys.share_for(config.node_id)
-        )
-        nodes.append(node)
-    return nodes
-
-
-async def _flip(nodes, name: bytes) -> set[bytes]:
-    for node in nodes:
-        await node.start()
-    try:
-        return set(
-            await asyncio.gather(
-                *(node.run_request("coin", "cks05", name) for node in nodes)
-            )
-        )
-    finally:
-        for node in nodes:
-            await node.stop()
+async def _flip(cluster: LocalCluster, name: bytes) -> set[bytes]:
+    async with cluster:
+        return set(await cluster.run_request("coin", "cks05", name))
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +59,11 @@ class TestDispatchRules:
     def test_one_core_host_builds_no_pool(self, monkeypatch, keys_cks05):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         children_before = set(multiprocessing.active_children())
-        nodes = _coin_cluster(keys_cks05, crypto_workers=2)
-        assert all(node.crypto_pool is None for node in nodes)
-        stats = nodes[0].stats()["crypto_pool"]
+        cluster = LocalCluster({"cks05": keys_cks05}, latency=0.0, crypto_workers=2)
+        assert all(node.crypto_pool is None for node in cluster.nodes)
+        stats = cluster.nodes[0].stats()["crypto_pool"]
         assert stats == {"enabled": False, "workers": 0, "reason": "few_cores"}
-        assert len(asyncio.run(_flip(nodes, b"one core coin"))) == 1
+        assert len(asyncio.run(_flip(cluster, b"one core coin"))) == 1
         assert set(multiprocessing.active_children()) <= children_before
 
     def test_host_pool_rules(self, monkeypatch):
@@ -117,19 +92,14 @@ class TestDispatchRules:
         registry = MetricRegistry()
         pool = CryptoPool(1, registry=registry)
         pool._pending = MAX_QUEUE_PER_WORKER  # held: nothing ever drains
-        nodes = _coin_cluster(keys_cks05, crypto_pool=pool)
-        assert len(asyncio.run(_flip(nodes, b"spilled coin"))) == 1
+        cluster = LocalCluster({"cks05": keys_cks05}, latency=0.0, crypto_pool=pool)
+        assert len(asyncio.run(_flip(cluster, b"spilled coin"))) == 1
         stats = pool.stats()
         assert stats["spills"] > 0
         assert stats["tasks_ok"] == 0 and stats["fallbacks"] == 0
         assert pool.worker_pids == [] and not stats["running"]
         parsed = parse_text(render_text(registry))
-        spilled = sum(
-            value
-            for (name, labels), value in parsed.items()
-            if name == "repro_crypto_pool_tasks_total"
-            and dict(labels).get("outcome") == "spilled"
-        )
+        spilled = sample_sum(parsed, "repro_crypto_pool_tasks_total", outcome="spilled")
         assert spilled == stats["spills"]
         pool.close_sync()
 
@@ -186,9 +156,11 @@ class TestBlobStore:
         store.put(b"b")
         assert store.get_object(digest, loader) is None
 
-    def test_register_export_serializes_once_per_object(self, keys_bls04):
+    def test_register_export_serializes_once_per_object(self):
+        # Fresh material: a session-scoped share may already be memoised by
+        # any earlier test that ran a pooled cluster over it.
         calls = []
-        share = keys_bls04.share_for(4)
+        share = generate_keys("bls04", 1, 4).share_for(4)
 
         def exporter() -> bytes:
             calls.append(1)
@@ -418,44 +390,22 @@ class TestHealOncePerGeneration:
 class TestDuplicateRequestCoalescing:
     def test_identical_requests_fold_into_one_instance(self, keys_bls04):
         """Same payload submitted twice → one instance, counted folds."""
-        configs = make_local_configs(4, 1, transport="local", rpc_base_port=0)
-        hub = LocalHub()
-        nodes = []
-        for config in configs:
-            node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-            node.install_key(
-                "bls04",
-                "bls04",
-                keys_bls04.public_key,
-                keys_bls04.share_for(config.node_id),
-            )
-            nodes.append(node)
+        cluster = LocalCluster({"bls04": keys_bls04}, latency=0.0)
 
         async def scenario():
-            for node in nodes:
-                await node.start()
-            try:
+            async with cluster:
                 message = b"duplicate request payload"
-                results = await asyncio.gather(
-                    *(
-                        node.run_request("sign", "bls04", message)
-                        for node in nodes
-                        for _ in range(2)
-                    )
+                first, second = await asyncio.gather(
+                    cluster.run_request("sign", "bls04", message),
+                    cluster.run_request("sign", "bls04", message),
                 )
-            finally:
-                for node in nodes:
-                    await node.stop()
-            return results
+            return first + second
 
         results = asyncio.run(scenario())
         assert len(set(results)) == 1
-        for node in nodes:
+        for node in cluster.nodes:
             parsed = parse_text(node.render_metrics())
-            folded = sum(
-                value
-                for (name, labels), value in parsed.items()
-                if name == "repro_requests_coalesced_total"
-                and dict(labels).get("source") == "inflight"
+            folded = sample_sum(
+                parsed, "repro_requests_coalesced_total", source="inflight"
             )
             assert folded >= 1, f"node {node.config.node_id} never folded"

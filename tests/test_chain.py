@@ -203,31 +203,17 @@ class TestFrontRunningProtectedChain:
 
         async def scenario():
             from repro.schemes import get_scheme
-            from repro.service import ThetacryptClient, ThetacryptNode, make_local_configs
-            from repro.network.local import LocalHub as ThetaHub
+            from repro.testing import LocalCluster
 
             n = 4
             # The Θ-network (in-process transport, co-located with validators).
-            theta_hub = ThetaHub(latency=lambda a, b: 0.001)
-            theta_nodes = []
-            for config in make_local_configs(n, 1, transport="local", rpc_base_port=0):
-                node = ThetacryptNode(config, transport=theta_hub.endpoint(config.node_id))
-                node.install_key(
-                    "mempool",
-                    keys_sg02.scheme,
-                    keys_sg02.public_key,
-                    keys_sg02.share_for(config.node_id),
-                )
-                await node.start()
-                theta_nodes.append(node)
-            theta_client = ThetacryptClient(
-                {t.config.node_id: t.rpc_address for t in theta_nodes}
-            )
+            theta = LocalCluster({"mempool": keys_sg02}, parties=n)
+            await theta.start()
+            theta_client = theta.client()
 
             async def decryptor(ciphertext: bytes) -> bytes:
                 return await theta_client.decrypt("mempool", ciphertext)
 
-            hub, validators = (None, None)
             chain_hub = LocalHub(latency=lambda a, b: 0.001)
             validators = [
                 ValidatorNode(i, n, chain_hub.endpoint(i), decryptor=decryptor)
@@ -258,8 +244,6 @@ class TestFrontRunningProtectedChain:
             finally:
                 for validator in validators:
                     await validator.stop()
-                await theta_client.close()
-                for node in theta_nodes:
-                    await node.stop()
+                await theta.stop()
 
         asyncio.run(scenario())

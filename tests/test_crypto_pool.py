@@ -18,13 +18,12 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError, ThetacryptError
-from repro.network.local import LocalHub
 from repro.schemes import bls04
 from repro.schemes.keystore import export_key_share, export_public_key
 from repro.service.config import NodeConfig, make_local_configs
-from repro.service.node import ThetacryptNode
 from repro.telemetry import MetricRegistry, summarize
 from repro.telemetry.instruments import EventLoopLagSampler
+from repro.testing import LocalCluster
 from repro.workers import CryptoPool, CryptoPoolUnavailable
 from repro.workers import tasks as pool_tasks
 
@@ -175,64 +174,30 @@ class TestPoolDegradation:
         assert stats["tasks_ok"] >= 2
 
 
-def _cluster(all_keys, crypto_pool=None, parties=4, threshold=1):
-    configs = make_local_configs(
-        parties, threshold, transport="local", rpc_base_port=0
-    )
-    hub = LocalHub()
-    nodes = []
-    for config in configs:
-        node = ThetacryptNode(
-            config, transport=hub.endpoint(config.node_id), crypto_pool=crypto_pool
-        )
-        for key_id, material in all_keys.items():
-            node.install_key(
-                key_id,
-                material.scheme,
-                material.public_key,
-                material.share_for(config.node_id),
-            )
-        nodes.append(node)
-    return nodes
-
-
-async def _run_all_kinds(nodes, all_keys) -> dict[str, bytes]:
+async def _run_all_kinds(all_keys, crypto_pool=None) -> dict[str, bytes]:
     """One request per scheme, cluster-wide; returns scheme -> result."""
     from repro.schemes.base import get_scheme
 
-    for node in nodes:
-        await node.start()
     results = {}
-    try:
+    async with LocalCluster(all_keys, latency=0.0, crypto_pool=crypto_pool) as cluster:
         for scheme in ("sg02", "bz03"):
             ciphertext = get_scheme(scheme).encrypt(
                 all_keys[scheme].public_key, b"equivalence secret", b"label"
             ).to_bytes()
-            gathered = await asyncio.gather(
-                *(
-                    node.run_request("decrypt", scheme, ciphertext, b"label")
-                    for node in nodes
-                )
+            gathered = await cluster.run_request(
+                "decrypt", scheme, ciphertext, b"label"
             )
             assert len(set(gathered)) == 1
             results[scheme] = gathered[0]
         for scheme in ("sh00", "bls04", "kg20"):
-            gathered = await asyncio.gather(
-                *(
-                    node.run_request("sign", scheme, b"equivalence message")
-                    for node in nodes
-                )
+            gathered = await cluster.run_request(
+                "sign", scheme, b"equivalence message"
             )
             assert len(set(gathered)) == 1
             results[scheme] = gathered[0]
-        gathered = await asyncio.gather(
-            *(node.run_request("coin", "cks05", b"equivalence coin") for node in nodes)
-        )
+        gathered = await cluster.run_request("coin", "cks05", b"equivalence coin")
         assert len(set(gathered)) == 1
         results["cks05"] = gathered[0]
-    finally:
-        for node in nodes:
-            await node.stop()
     return results
 
 
@@ -248,14 +213,12 @@ class TestClusterEquivalence:
         """
 
         async def scenario():
-            inline = await _run_all_kinds(_cluster(all_keys), all_keys)
+            inline = await _run_all_kinds(all_keys)
             # An injected pool is always used, whatever this host's core
             # count: the equivalence below compares real pooled runs.
             pool = CryptoPool(2, registry=MetricRegistry())
             try:
-                pooled = await _run_all_kinds(
-                    _cluster(all_keys, crypto_pool=pool), all_keys
-                )
+                pooled = await _run_all_kinds(all_keys, crypto_pool=pool)
                 stats = pool.stats()
             finally:
                 await pool.close()
@@ -290,20 +253,10 @@ class TestClusterEquivalence:
         pool = AlwaysBrokenPool(2, registry=MetricRegistry())
 
         async def scenario():
-            nodes = _cluster({"bls04": keys_bls04}, crypto_pool=pool)
-            for node in nodes:
-                await node.start()
-            try:
-                gathered = await asyncio.gather(
-                    *(
-                        node.run_request("sign", "bls04", b"broken pool msg")
-                        for node in nodes
-                    )
-                )
-            finally:
-                for node in nodes:
-                    await node.stop()
-            return gathered
+            async with LocalCluster(
+                {"bls04": keys_bls04}, latency=0.0, crypto_pool=pool
+            ) as cluster:
+                return await cluster.run_request("sign", "bls04", b"broken pool msg")
 
         gathered = asyncio.run(scenario())
         assert len(set(gathered)) == 1
@@ -328,42 +281,20 @@ class TestServiceWiring:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
         async def scenario():
-            configs = make_local_configs(
-                4,
-                1,
-                transport="local",
-                rpc_base_port=0,
-                crypto_workers=1,
-            )
-            hub = LocalHub()
-            nodes = []
-            for config in configs:
-                node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-                node.install_key(
-                    "cks05",
-                    "cks05",
-                    keys_cks05.public_key,
-                    keys_cks05.share_for(config.node_id),
-                )
-                nodes.append(node)
-            pids = []
-            try:
-                for node in nodes:
-                    await node.start()
-                await asyncio.gather(
-                    *(node.run_request("coin", "cks05", b"stats coin") for node in nodes)
-                )
-                stats = nodes[0].stats()
+            async with LocalCluster(
+                {"cks05": keys_cks05}, latency=0.0, crypto_workers=1
+            ) as cluster:
+                await cluster.run_request("coin", "cks05", b"stats coin")
+                stats = cluster.nodes[0].stats()
                 pool = stats["crypto_pool"]
                 assert pool["enabled"] and pool["workers"] == 1
                 assert pool["reason"] == "configured"
                 assert pool["tasks_ok"] >= 1 and pool["fallbacks"] == 0
                 assert "event_loop_lag" in stats
-                pids = [p for node in nodes for p in node.crypto_pool.worker_pids]
+                pids = [
+                    p for node in cluster.nodes for p in node.crypto_pool.worker_pids
+                ]
                 assert pids, "owned pools never spawned workers"
-            finally:
-                for node in nodes:
-                    await node.stop()
             # node.stop() must join owned workers — no orphans.
             for pid in pids:
                 with pytest.raises(ProcessLookupError):

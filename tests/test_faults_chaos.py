@@ -16,18 +16,18 @@ it only appears under the lossless fault kinds (delay/duplicate/reorder).
 """
 
 import asyncio
-from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.orchestration.precompute import PrecomputeConfig
 from repro.errors import RpcError
 from repro.network.faults import Crash, FaultPlan, LinkFaults, Partition
-from repro.network.local import LocalHub
+from repro.schemes import get_scheme
 from repro.serialization import hexlify
-from repro.service.client import ThetacryptClient
-from repro.service.config import make_local_configs
-from repro.service.node import ThetacryptNode, derive_instance_id
+from repro.service.node import derive_instance_id
+from repro.testing import LocalCluster
 
 ALL_SCHEMES = ("sg02", "bz03", "sh00", "bls04", "kg20", "cks05")
 
@@ -52,31 +52,6 @@ PLANS = {
 }
 
 
-async def _chaos_network(all_keys, plan, **overrides):
-    """A 4-node t=1 local-transport cluster with ``plan`` on every node."""
-    configs = make_local_configs(
-        4, 1, transport="local", rpc_base_port=0, fault_plan=plan, **overrides
-    )
-    hub = LocalHub(latency=lambda a, b: 0.001)
-    nodes = []
-    for config in configs:
-        node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-        for key_id, km in all_keys.items():
-            node.install_key(
-                key_id, km.scheme, km.public_key, km.share_for(config.node_id)
-            )
-        await node.start()
-        nodes.append(node)
-    client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
-    return hub, nodes, client
-
-
-async def _teardown(nodes, client):
-    await client.close()
-    for node in nodes:
-        await node.stop()
-
-
 async def _exercise(client, scheme, tag):
     """One end-to-end threshold operation appropriate for ``scheme``."""
     data = f"chaos {tag} {scheme}".encode()
@@ -96,16 +71,14 @@ class TestChaosMatrix:
     @pytest.mark.parametrize("kind", sorted(PLANS))
     def test_all_schemes_finalize_under_fault(self, all_keys, kind):
         async def scenario():
-            hub, nodes, client = await _chaos_network(
-                all_keys, PLANS[kind], instance_timeout=10.0
-            )
-            try:
+            async with LocalCluster(
+                all_keys, fault_plan=PLANS[kind], instance_timeout=10.0
+            ) as cluster:
+                client = cluster.client()
                 for scheme in ALL_SCHEMES:
                     if scheme == "kg20" and kind not in LOSSLESS:
                         continue  # FROST needs all n parties (§4.5)
                     await _exercise(client, scheme, kind)
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -116,16 +89,77 @@ class TestChaosMatrix:
         )
 
         async def scenario():
-            hub, nodes, client = await _chaos_network(
-                all_keys, plan, instance_timeout=10.0
-            )
-            try:
+            async with LocalCluster(
+                all_keys, fault_plan=plan, instance_timeout=10.0
+            ) as cluster:
+                client = cluster.client()
                 await _exercise(client, "sg02", "tolerated")
                 await _exercise(client, "bls04", "tolerated")
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
+
+
+@pytest.mark.integration
+class TestGeneratedSchedules:
+    """Hypothesis draws the fault schedule instead of a hand-picked plan:
+    duplication and reordering on every link, at most t byzantine nodes.
+    Every node must decrypt to the same, correct bytes, and no node may
+    finalize on fewer than t+1 valid shares."""
+
+    THRESHOLD = 1
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        duplicate=st.floats(min_value=0.0, max_value=0.5),
+        reorder=st.floats(min_value=0.0, max_value=0.5),
+        byzantine=st.sampled_from([(), (1,), (2,), (3,), (4,)]),
+    )
+    def test_sg02_decrypt_under_generated_schedule(
+        self, keys_sg02, seed, duplicate, reorder, byzantine
+    ):
+        plaintext = b"generated schedule"
+        ciphertext = get_scheme("sg02").encrypt(
+            keys_sg02.public_key, plaintext, b""
+        ).to_bytes()
+        instance_id = derive_instance_id("decrypt", "sg02", ciphertext, b"")
+        plan = FaultPlan(
+            seed=seed,
+            default=LinkFaults(duplicate=duplicate, reorder=reorder),
+            byzantine=byzantine,
+        )
+
+        async def scenario():
+            async with LocalCluster(
+                {"sg02": keys_sg02},
+                threshold=self.THRESHOLD,
+                fault_plan=plan,
+                instance_timeout=10.0,
+            ) as cluster:
+                results = await cluster.run_request("decrypt", "sg02", ciphertext)
+                client = cluster.client()
+                statuses = {
+                    node_id: await client.status(instance_id, node_id)
+                    for node_id in client.node_ids
+                }
+            return results, statuses
+
+        results, statuses = asyncio.run(scenario())
+        assert results == [plaintext] * 4
+        for node_id, status in statuses.items():
+            assert status["status"] == "finished"
+            # Peer shares are traced as hops; a node's own share is
+            # admitted without one, so it is the quorum's other member.
+            senders = {
+                event["attributes"]["sender"]
+                for event in status["trace"]["events"]
+                if event["name"] == "hop"
+                and event["attributes"]["outcome"] == "accepted"
+            }
+            assert node_id not in senders
+            assert len(senders | {node_id}) >= self.THRESHOLD + 1, (
+                f"node {node_id} finalized on shares from {senders | {node_id}}"
+            )
 
 
 @pytest.mark.integration
@@ -138,10 +172,10 @@ class TestStructuredAborts:
         data = b"abort: not enough shares"
 
         async def scenario():
-            hub, nodes, client = await _chaos_network(
-                all_keys, plan, instance_timeout=1.5
-            )
-            try:
+            async with LocalCluster(
+                all_keys, fault_plan=plan, instance_timeout=1.5
+            ) as cluster:
+                client = cluster.client()
                 with pytest.raises(RpcError) as err:
                     await client.call(
                         1, "flip_coin", {"key_id": "cks05", "data": hexlify(data)}
@@ -153,10 +187,8 @@ class TestStructuredAborts:
                 assert status["status"] == "failed"
                 assert status["abort_reason"] == "insufficient_shares"
 
-                stats = nodes[0].stats()
+                stats = cluster.nodes[0].stats()
                 assert stats["aborts"].get("insufficient_shares", 0) >= 1
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -167,10 +199,10 @@ class TestStructuredAborts:
         data = b"abort: corrupted quorum"
 
         async def scenario():
-            hub, nodes, client = await _chaos_network(
-                all_keys, plan, instance_timeout=1.5
-            )
-            try:
+            async with LocalCluster(
+                all_keys, fault_plan=plan, instance_timeout=1.5
+            ) as cluster:
+                client = cluster.client()
                 # Fan the request out so peers actually send (bad) shares.
                 results = await client.broadcast(
                     "flip_coin", {"key_id": "cks05", "data": hexlify(data)}
@@ -182,9 +214,7 @@ class TestStructuredAborts:
                 instance_id = derive_instance_id("coin", "cks05", data, b"")
                 status = await client.status(instance_id, node_id=1)
                 assert status["abort_reason"] == "byzantine_detected"
-                assert nodes[0].stats()["aborts"].get("byzantine_detected", 0) >= 1
-            finally:
-                await _teardown(nodes, client)
+                assert cluster.nodes[0].stats()["aborts"].get("byzantine_detected", 0) >= 1
 
         asyncio.run(scenario())
 
@@ -204,34 +234,16 @@ class TestPrecomputeUnderChaos:
             # Node 4 is crash-windowed by a seeded plan: silent from the
             # start, back after 0.6s of fault-clock time.
             plan = FaultPlan(seed=41, crashes=(Crash(node=4, at=0.0, recover=0.6),))
-            configs = [
-                replace(c, data_dir=str(tmp_path / f"node{c.node_id}"))
-                for c in make_local_configs(
-                    4,
-                    1,
-                    transport="local",
-                    rpc_base_port=0,
-                    fault_plan=plan,
-                    precompute=PrecomputeConfig(depth=4, eager=False),
-                    instance_timeout=10.0,
-                )
-            ]
-            hub = LocalHub(latency=lambda a, b: 0.001)
-            nodes = []
-            for config in configs:
-                node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-                for key_id, km in all_keys.items():
-                    node.install_key(
-                        key_id,
-                        km.scheme,
-                        km.public_key,
-                        km.share_for(config.node_id),
-                    )
-                await node.start()
-                nodes.append(node)
-            client = ThetacryptClient(
-                {n.config.node_id: n.rpc_address for n in nodes}
+            cluster = LocalCluster(
+                all_keys,
+                data_dir=tmp_path,
+                fault_plan=plan,
+                precompute=PrecomputeConfig(depth=4, eager=False),
+                instance_timeout=10.0,
             )
+            nodes = cluster.nodes
+            await cluster.start()
+            client = cluster.client()
             try:
                 # Warm the pools everywhere.  RPC is unaffected by the
                 # transport-level crash, so node 4 stages (and journals)
@@ -277,20 +289,13 @@ class TestPrecomputeUnderChaos:
                     if pending_id in nodes[3].instances._records:
                         break
                     await asyncio.sleep(0.01)
-                await nodes[3].stop()
+                await cluster.stop_node(4)
                 submit.cancel()
                 await asyncio.gather(submit, return_exceptions=True)
 
                 # Fresh life over the same data_dir (no fault plan this
                 # time: the window is over).
-                reborn_config = replace(configs[3], fault_plan=None)
-                reborn = ThetacryptNode(reborn_config, transport=hub.endpoint(4))
-                for key_id, km in all_keys.items():
-                    reborn.install_key(
-                        key_id, km.scheme, km.public_key, km.share_for(4)
-                    )
-                await reborn.start()
-                nodes[3] = reborn
+                reborn = await cluster.restart(4, fault_plan=None)
 
                 # Structured crash_recovery abort is still correct with a
                 # warm pool in play.
@@ -303,31 +308,24 @@ class TestPrecomputeUnderChaos:
                 assert restored["staged"].get("sg02/decrypt", 0) == 1
                 assert restored["restored"] == 1
 
-                await client.close()
-                client2 = ThetacryptClient(
-                    {n.config.node_id: n.rpc_address for n in nodes}
+                # Reconnect (the reborn node has a fresh RPC port).
+                client2 = cluster.client()
+                # The restored entry serves the announced request; the
+                # consumed one is gone for good (the same request is a
+                # duplicate answered from the durable result cache).
+                assert (
+                    await client2.decrypt("sg02", survivor)
+                    == b"after the restart"
                 )
-                try:
-                    # The restored entry serves the announced request; the
-                    # consumed one is gone for good (the same request is a
-                    # duplicate answered from the durable result cache).
-                    assert (
-                        await client2.decrypt("sg02", survivor)
-                        == b"after the restart"
+                assert (
+                    reborn.stats()["precompute"]["served"].get(
+                        "decrypt/pool", 0
                     )
-                    assert (
-                        reborn.stats()["precompute"]["served"].get(
-                            "decrypt/pool", 0
-                        )
-                        == 1
-                    )
-                    assert reborn.stats()["precompute"]["staged"] == {}
-                finally:
-                    await client2.close()
-                    client2 = None
+                    == 1
+                )
+                assert reborn.stats()["precompute"]["staged"] == {}
             finally:
-                for node in nodes:
-                    await node.stop()
+                await cluster.stop()
 
         asyncio.run(scenario())
 
@@ -341,31 +339,10 @@ class TestCrashRecoveryRestart:
 
     def test_restart_recovers_state_and_aborts_in_flight(self, all_keys, tmp_path):
         async def scenario():
-            configs = [
-                replace(c, data_dir=str(tmp_path / f"node{c.node_id}"))
-                for c in make_local_configs(
-                    4, 1, transport="local", rpc_base_port=0
-                )
-            ]
-            hub = LocalHub(latency=lambda a, b: 0.001)
-            nodes = []
-            for config in configs:
-                node = ThetacryptNode(
-                    config, transport=hub.endpoint(config.node_id)
-                )
-                for key_id, km in all_keys.items():
-                    node.install_key(
-                        key_id,
-                        km.scheme,
-                        km.public_key,
-                        km.share_for(config.node_id),
-                    )
-                await node.start()
-                nodes.append(node)
-            client = ThetacryptClient(
-                {n.config.node_id: n.rpc_address for n in nodes}
-            )
-            restarted = None
+            cluster = LocalCluster(all_keys, data_dir=tmp_path)
+            nodes = cluster.nodes
+            await cluster.start()
+            client = cluster.client()
             try:
                 # One fully finalized operation: its result must land in
                 # node 4's durable cache.
@@ -400,19 +377,13 @@ class TestCrashRecoveryRestart:
 
                 # "kill -9": abrupt teardown — executors cancelled, no
                 # terminal journal record for the pending instance.
-                await nodes[3].stop()
+                await cluster.stop_node(4)
                 submit.cancel()
                 await asyncio.gather(submit, return_exceptions=True)
 
-                # Fresh process life over the same data_dir and hub slot.
-                restarted = ThetacryptNode(configs[3], transport=hub.endpoint(4))
-                # The dealer re-installs identical material: must be a no-op.
-                for key_id, km in all_keys.items():
-                    restarted.install_key(
-                        key_id, km.scheme, km.public_key, km.share_for(4)
-                    )
-                await restarted.start()
-                nodes[3] = restarted
+                # Fresh process life over the same data_dir and hub slot;
+                # the dealer re-installs identical material: must be a no-op.
+                restarted = await cluster.restart(4)
 
                 # Keys came back from the durable keystore.
                 assert len(restarted.keys) == len(all_keys)
@@ -423,32 +394,25 @@ class TestCrashRecoveryRestart:
                 assert stats["aborts"].get("crash_recovery", 0) >= 1
 
                 # Reconnect (the restarted node has a fresh RPC port).
-                await client.close()
-                client2 = ThetacryptClient(
-                    {n.config.node_id: n.rpc_address for n in nodes}
+                client2 = cluster.client()
+                # A duplicate of the finalized request is served from
+                # the durable cache, without re-running the protocol.
+                result = await client2.call(
+                    4, "sign", {"key_id": "bls04", "data": hexlify(data)}
                 )
-                try:
-                    # A duplicate of the finalized request is served from
-                    # the durable cache, without re-running the protocol.
-                    result = await client2.call(
-                        4, "sign", {"key_id": "bls04", "data": hexlify(data)}
-                    )
-                    assert result["result"] == hexlify(signature)
+                assert result["result"] == hexlify(signature)
 
-                    # The in-flight instance is aborted with the structured
-                    # crash_recovery reason, visible over the status RPC.
-                    status = await client2.status(pending_id, node_id=4)
-                    assert status["status"] == "failed"
-                    assert status["abort_reason"] == "crash_recovery"
+                # The in-flight instance is aborted with the structured
+                # crash_recovery reason, visible over the status RPC.
+                status = await client2.status(pending_id, node_id=4)
+                assert status["status"] == "failed"
+                assert status["abort_reason"] == "crash_recovery"
 
-                    # The recovered node participates in new protocol runs.
-                    after = b"signed after recovery"
-                    sig2 = await client2.sign("bls04", after)
-                    assert await client2.verify_signature("bls04", after, sig2)
-                finally:
-                    await client2.close()
+                # The recovered node participates in new protocol runs.
+                after = b"signed after recovery"
+                sig2 = await client2.sign("bls04", after)
+                assert await client2.verify_signature("bls04", after, sig2)
             finally:
-                for node in nodes:
-                    await node.stop()
+                await cluster.stop()
 
         asyncio.run(scenario())

@@ -18,18 +18,15 @@ from repro.network.faults import (
     Crash,
     FaultInjector,
     FaultPlan,
-    FaultyNetwork,
     LinkFaults,
     Partition,
     corrupt_frame,
 )
-from repro.network.local import LocalHub
 from repro.sim.cluster import SimulatedThetaNetwork
 from repro.sim.deployments import Deployment
 from repro.sim.latency import Region
 from repro.sim.workload import Workload
-
-from tests.test_faults_chaos import _chaos_network, _teardown
+from repro.testing import LocalCluster
 
 _BUSY = LinkFaults(
     drop=0.2, delay=0.005, jitter=0.01, duplicate=0.15, reorder=0.15, corrupt=0.1
@@ -180,16 +177,14 @@ class TestEndToEndDeterminism:
         plan = FaultPlan(seed=77, byzantine=(2,), default=LinkFaults(drop=0.1))
 
         async def one_run():
-            hub, nodes, client = await _chaos_network(
-                all_keys, plan, instance_timeout=10.0
-            )
-            try:
+            async with LocalCluster(
+                all_keys, fault_plan=plan, instance_timeout=10.0
+            ) as cluster:
+                client = cluster.client()
                 ciphertext = await client.encrypt(
                     "sg02", b"same seed, same story", b"l", node_id=1
                 )
                 return await client.decrypt("sg02", ciphertext, b"l")
-            finally:
-                await _teardown(nodes, client)
 
         first = asyncio.run(one_run())
         second = asyncio.run(one_run())
@@ -200,16 +195,14 @@ class TestEndToEndDeterminism:
         plan = FaultPlan(seed=5, default=LinkFaults(drop=0.5))
 
         async def scenario():
-            hub, nodes, client = await _chaos_network(
-                all_keys, plan, instance_timeout=10.0
-            )
-            try:
+            async with LocalCluster(
+                all_keys, fault_plan=plan, instance_timeout=10.0
+            ) as cluster:
+                client = cluster.client()
                 await client.flip_coin("cks05", b"count-faults")
-                text = "\n".join(n.render_metrics() for n in nodes)
+                text = "\n".join(n.render_metrics() for n in cluster.nodes)
                 assert 'repro_faults_injected{kind="drop"' in text or (
                     'kind="drop"' in text
                 )
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())

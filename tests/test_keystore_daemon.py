@@ -18,6 +18,8 @@ from repro.schemes.keystore import (
     keystore_to_json,
     node_keystore,
 )
+from repro.service.config import NodeConfig
+from repro.testing import DaemonCluster
 
 
 class TestKeyShareSerialization:
@@ -91,18 +93,18 @@ class TestKeystoreDocument:
             keystore_from_json(json.dumps({"version": 9, "keys": {}}))
 
 
-@pytest.mark.integration
-def test_daemon_deployment_end_to_end(tmp_path):
-    """Deal keys with the CLI, start real daemon processes, sign over TCP."""
+def test_deal_keys_cli_writes_deployment_tree(tmp_path):
+    """The dealer CLI writes per-node configs/keystores plus public keys."""
     deal = subprocess.run(
         [
             sys.executable,
             "tools/deal_keys.py",
-            "--parties", "4",
+            "--parties", "3",
             "--threshold", "1",
-            "--schemes", "bls04,cks05",
+            "--schemes", "cks05",
             "--base-port", "19700",
             "--rpc-base-port", "19800",
+            "--data-dir",
             "--out", str(tmp_path),
         ],
         capture_output=True,
@@ -110,52 +112,36 @@ def test_daemon_deployment_end_to_end(tmp_path):
         timeout=180,
     )
     assert deal.returncode == 0, deal.stderr
-    assert (tmp_path / "public_keys.json").exists()
+    assert "dealt 1 keys for a 2-of-3 network" in deal.stdout
+    public = json.loads((tmp_path / "public_keys.json").read_text())
+    assert list(public) == ["cks05"]
+    assert list(public["cks05"]) == ["scheme", "public_key"]
+    for node_id in (1, 2, 3):
+        node_dir = tmp_path / f"node{node_id}"
+        config = NodeConfig.from_json((node_dir / "config.json").read_text())
+        assert config.node_id == node_id
+        assert config.rpc_port == 19800 + node_id
+        assert config.data_dir == str(node_dir / "data")
+        keys = keystore_from_json((node_dir / "keystore.json").read_text())
+        assert keys["cks05"][1].id == node_id
 
-    daemons = []
-    try:
-        for node_id in range(1, 5):
-            daemons.append(
-                subprocess.Popen(
-                    [
-                        sys.executable,
-                        "-m",
-                        "repro.service.daemon",
-                        "--config", str(tmp_path / f"node{node_id}" / "config.json"),
-                        "--keystore", str(tmp_path / f"node{node_id}" / "keystore.json"),
-                    ],
-                    stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL,
-                )
-            )
 
-        async def drive():
-            from repro.errors import RpcError
-            from repro.service.client import ThetacryptClient
+@pytest.mark.integration
+def test_daemon_deployment_end_to_end(tmp_path):
+    """Deal keys, start real daemon processes, sign over TCP."""
 
-            client = ThetacryptClient(
-                {i: ("127.0.0.1", 19800 + i) for i in range(1, 5)}
-            )
-            # Daemons need a moment to bind their sockets (longer when the
-            # machine is busy running other suites).
-            for node_id in range(1, 5):
-                for attempt in range(150):
-                    try:
-                        await client.call(node_id, "ping", {})
-                        break
-                    except (OSError, RpcError):
-                        await asyncio.sleep(0.2)
-                else:
-                    raise AssertionError(f"daemon {node_id} never came up")
+    async def drive():
+        async with DaemonCluster(
+            tmp_path,
+            ["bls04", "cks05"],
+            base_port=19700,
+            rpc_base_port=19800,
+        ) as cluster:
+            assert (tmp_path / "public_keys.json").exists()
+            client = cluster.client()
             signature = await client.sign("bls04", b"daemon-signed")
             assert await client.verify_signature("bls04", b"daemon-signed", signature)
             coin = await client.flip_coin("cks05", b"daemon-coin")
             assert len(coin) == 32
-            await client.close()
 
-        asyncio.run(drive())
-    finally:
-        for daemon in daemons:
-            daemon.terminate()
-        for daemon in daemons:
-            daemon.wait(timeout=10)
+    asyncio.run(drive())

@@ -11,7 +11,8 @@ from repro.network.local import LocalHub
 from repro.network.manager import NetworkManager
 from repro.network.tob import SequencerTob
 from repro.schemes import generate_keys
-from repro.service import ThetacryptClient, ThetacryptNode, make_local_configs
+from repro.service import ThetacryptClient
+from repro.testing import LocalCluster
 
 
 def collect_handler(store):
@@ -99,30 +100,12 @@ class TestGossipFaults:
         keys = generate_keys("cks05", 1, 6)
 
         async def scenario():
-            configs = make_local_configs(
-                6, 1, transport="local", rpc_base_port=0, gossip_fanout=3
-            )
-            hub = LocalHub(latency=lambda a, b: 0.001)
-            nodes = []
-            for config in configs:
-                node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-                node.install_key(
-                    "coin", keys.scheme, keys.public_key,
-                    keys.share_for(config.node_id),
-                )
-                await node.start()
-                nodes.append(node)
-            try:
-                await nodes[5].stop()  # crash node 6 (a gossip relay)
-                client = ThetacryptClient(
-                    {n.config.node_id: n.rpc_address for n in nodes[:5]}
-                )
-                value = await client.flip_coin("coin", b"lossy")
+            async with LocalCluster(
+                {"coin": keys}, parties=6, gossip_fanout=3
+            ) as cluster:
+                await cluster.stop_node(6)  # crash node 6 (a gossip relay)
+                value = await cluster.client().flip_coin("coin", b"lossy")
                 assert len(value) == 32
-                await client.close()
-            finally:
-                for node in nodes[:5]:
-                    await node.stop()
 
         asyncio.run(scenario())
 
@@ -132,32 +115,16 @@ class TestServiceUnderMessageLoss:
         """Drop every link to one node: 3 healthy of 4 still reach quorum."""
 
         async def scenario():
-            configs = make_local_configs(4, 1, transport="local", rpc_base_port=0)
-            hub = LocalHub(latency=lambda a, b: 0.001)
-            nodes = []
-            for config in configs:
-                node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-                node.install_key(
-                    "coin",
-                    keys_cks05.scheme,
-                    keys_cks05.public_key,
-                    keys_cks05.share_for(config.node_id),
-                )
-                await node.start()
-                nodes.append(node)
-            try:
+            async with LocalCluster({"coin": keys_cks05}) as cluster:
                 for other in (1, 2, 3):
-                    hub.drop_link(4, other)
-                    hub.drop_link(other, 4)
-                client = ThetacryptClient(
-                    {n.config.node_id: n.rpc_address for n in nodes[:3]}
-                )
+                    cluster.hub.drop_link(4, other)
+                    cluster.hub.drop_link(other, 4)
+                healthy = cluster.members()
+                del healthy[4]
+                client = ThetacryptClient(healthy)
                 value = await client.flip_coin("coin", b"partitioned")
                 assert len(value) == 32
                 await client.close()
-            finally:
-                for node in nodes:
-                    await node.stop()
 
         asyncio.run(scenario())
 

@@ -35,14 +35,12 @@ from repro.core.protocols import (
 )
 from repro.core.protocols.frost import FrostPrecomputationPool
 from repro.errors import ConfigurationError, ProtocolError, RpcError
-from repro.network.local import LocalHub
 from repro.schemes.kg20 import Kg20SignatureScheme
 from repro.serialization import hexlify
-from repro.service.client import ThetacryptClient
 from repro.service.config import NodeConfig, make_local_configs
-from repro.service.node import ThetacryptNode
 from repro.storage.pool_journal import PoolJournal
 from repro.telemetry import MetricRegistry
+from repro.testing import LocalCluster
 
 
 def _operation(km, party_id, kind, data, label=b""):
@@ -307,35 +305,6 @@ class TestStandaloneService:
 # ---------------------------------------------------------------------------
 
 
-async def _pipeline_network(all_keys, precompute, **overrides):
-    configs = make_local_configs(
-        4,
-        1,
-        transport="local",
-        rpc_base_port=0,
-        precompute=precompute,
-        **overrides,
-    )
-    hub = LocalHub(latency=lambda a, b: 0.001)
-    nodes = []
-    for config in configs:
-        node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-        for key_id, km in all_keys.items():
-            node.install_key(
-                key_id, km.scheme, km.public_key, km.share_for(config.node_id)
-            )
-        await node.start()
-        nodes.append(node)
-    client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
-    return hub, nodes, client
-
-
-async def _teardown(nodes, client):
-    await client.close()
-    for node in nodes:
-        await node.stop()
-
-
 @pytest.mark.integration
 class TestPipelineService:
     def test_warm_pool_serves_from_pool(self, all_keys):
@@ -343,10 +312,10 @@ class TestPipelineService:
         identical to what the on-demand path produces."""
 
         async def scenario():
-            hub, nodes, client = await _pipeline_network(
-                all_keys, PrecomputeConfig(depth=4, eager=False)
-            )
-            try:
+            async with LocalCluster(
+                all_keys, precompute=PrecomputeConfig(depth=4, eager=False)
+            ) as cluster:
+                client = cluster.client()
                 secret = b"announced secret"
                 ciphertext = await client.encrypt("sg02", secret, b"lbl")
                 reports = await client.precompute("sg02", items=[ciphertext], label=b"lbl")
@@ -356,18 +325,16 @@ class TestPipelineService:
                 )
 
                 assert await client.decrypt("sg02", ciphertext, b"lbl") == secret
-                for node in nodes:
+                for node in cluster.nodes:
                     served = node.stats()["precompute"]["served"]
                     assert served.get("decrypt/pool", 0) == 1
                     # The staged entry was consumed: the pool is empty again.
                     assert node.stats()["precompute"]["staged"] == {}
                 # The pool depth gauge and served counter are in the node's
                 # Prometheus exposition.
-                text = nodes[0].render_metrics()
+                text = cluster.nodes[0].render_metrics()
                 assert "repro_precompute_pool_depth" in text
                 assert 'repro_precompute_served_total{op="decrypt",source="pool"}' in text
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -376,10 +343,10 @@ class TestPipelineService:
         path with visible source=inline accounting, never an error."""
 
         async def scenario():
-            hub, nodes, client = await _pipeline_network(
-                all_keys, PrecomputeConfig(depth=4, eager=False)
-            )
-            try:
+            async with LocalCluster(
+                all_keys, precompute=PrecomputeConfig(depth=4, eager=False)
+            ) as cluster:
+                client = cluster.client()
                 announced = await client.encrypt("sg02", b"pooled one", b"")
                 cold_a = await client.encrypt("sg02", b"cold one", b"")
                 cold_b = await client.encrypt("sg02", b"cold two", b"")
@@ -389,48 +356,44 @@ class TestPipelineService:
                 assert await client.decrypt("sg02", cold_a) == b"cold one"
                 assert await client.decrypt("sg02", cold_b) == b"cold two"
 
-                served = nodes[0].stats()["precompute"]["served"]
+                served = cluster.nodes[0].stats()["precompute"]["served"]
                 assert served.get("decrypt/pool", 0) == 1
                 assert served.get("decrypt/inline", 0) == 2
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_eager_pipelining_runs_ahead_of_demand(self, all_keys):
         async def scenario():
-            hub, nodes, client = await _pipeline_network(
-                all_keys, PrecomputeConfig(depth=4, eager=True)
-            )
-            try:
+            async with LocalCluster(
+                all_keys, precompute=PrecomputeConfig(depth=4, eager=True)
+            ) as cluster:
+                client = cluster.client()
                 secret = b"eagerly pipelined"
                 ciphertext = await client.encrypt("sg02", secret, b"")
                 await client.precompute("sg02", items=[ciphertext])
                 instance_id = derive_instance_id("decrypt", "sg02", ciphertext, b"")
                 # The announce alone drives the instance to completion.
                 for _ in range(400):
-                    record = nodes[0].instances._records.get(instance_id)
+                    record = cluster.nodes[0].instances._records.get(instance_id)
                     if record is not None and record.status.value == "finished":
                         break
                     await asyncio.sleep(0.01)
-                assert nodes[0].instances.record(instance_id).status.value == "finished"
+                assert cluster.nodes[0].instances.record(instance_id).status.value == "finished"
 
                 assert await client.decrypt("sg02", ciphertext) == secret
-                served = nodes[0].stats()["precompute"]["served"]
+                served = cluster.nodes[0].stats()["precompute"]["served"]
                 assert served.get("decrypt/pool", 0) == 1
                 # The eager submission itself is not client-visible traffic.
                 assert sum(served.values()) == 1
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_kg20_announce_is_rejected_with_reason(self, all_keys):
         async def scenario():
-            hub, nodes, client = await _pipeline_network(
-                all_keys, PrecomputeConfig(depth=4, eager=False)
-            )
-            try:
+            async with LocalCluster(
+                all_keys, precompute=PrecomputeConfig(depth=4, eager=False)
+            ) as cluster:
+                client = cluster.client()
                 results = await client.precompute("kg20", items=[b"message"])
                 for result in results.values():
                     assert isinstance(result, RpcError)
@@ -438,15 +401,13 @@ class TestPipelineService:
                 # The count-based kg20 preprocessing still works alongside.
                 pre = await client.precompute("kg20", 2)
                 assert all(r["available"] == 2 for r in pre.values())
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_disabled_pipeline_keeps_on_demand_semantics(self, all_keys):
         async def scenario():
-            hub, nodes, client = await _pipeline_network(all_keys, None)
-            try:
+            async with LocalCluster(all_keys) as cluster:
+                client = cluster.client()
                 results = await client.precompute("sg02", items=[b"x"])
                 for result in results.values():
                     assert isinstance(result, RpcError)
@@ -459,24 +420,20 @@ class TestPipelineService:
                 assert await client.verify_signature(
                     "kg20", b"pooled while disabled", sig
                 )
-                assert nodes[0].stats()["precompute"]["enabled"] is False
-            finally:
-                await _teardown(nodes, client)
+                assert cluster.nodes[0].stats()["precompute"]["enabled"] is False
 
         asyncio.run(scenario())
 
     def test_client_rejects_ambiguous_precompute_call(self, all_keys):
         async def scenario():
-            hub, nodes, client = await _pipeline_network(
-                all_keys, PrecomputeConfig(depth=4, eager=False)
-            )
-            try:
+            async with LocalCluster(
+                all_keys, precompute=PrecomputeConfig(depth=4, eager=False)
+            ) as cluster:
+                client = cluster.client()
                 with pytest.raises(RpcError):
                     await client.precompute("sg02")
                 with pytest.raises(RpcError):
                     await client.precompute("sg02", count=2, items=[b"x"])
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 

@@ -6,48 +6,25 @@ import pytest
 
 from repro.errors import RpcError
 from repro.groups import get_group
-from repro.network.local import LocalHub
-from repro.service import ThetacryptClient, ThetacryptNode, make_local_configs
-
-
-async def _network(all_keys, parties=4, threshold=1):
-    configs = make_local_configs(parties, threshold, transport="local", rpc_base_port=0)
-    hub = LocalHub(latency=lambda a, b: 0.001)
-    nodes = []
-    for config in configs:
-        node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-        for key_id, km in all_keys.items():
-            node.install_key(
-                key_id, km.scheme, km.public_key, km.share_for(config.node_id)
-            )
-        await node.start()
-        nodes.append(node)
-    client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
-    return nodes, client
-
-
-async def _teardown(nodes, client):
-    await client.close()
-    for node in nodes:
-        await node.stop()
+from repro.testing import LocalCluster
 
 
 @pytest.mark.integration
 class TestRefreshRpc:
     def test_refresh_preserves_key_and_function(self, keys_cks05):
         async def scenario():
-            nodes, client = await _network({"coin": keys_cks05})
-            try:
+            async with LocalCluster({"coin": keys_cks05}) as cluster:
+                client = cluster.client()
                 value_before = await client.flip_coin("coin", b"epoch-test")
                 old_shares = {
                     n.config.node_id: n.keys.get("coin").key_share.value
-                    for n in nodes
+                    for n in cluster.nodes
                 }
                 group_key = await client.refresh_key("coin")
                 assert group_key == keys_cks05.public_key.h.to_bytes()
                 new_shares = {
                     n.config.node_id: n.keys.get("coin").key_share.value
-                    for n in nodes
+                    for n in cluster.nodes
                 }
                 # Every share changed...
                 assert all(
@@ -57,61 +34,51 @@ class TestRefreshRpc:
                 # is identical — same key, new shares.
                 value_after = await client.flip_coin("coin", b"epoch-test")
                 assert value_after == value_before
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_repeated_refreshes(self, keys_cks05):
         async def scenario():
-            nodes, client = await _network({"coin": keys_cks05})
-            try:
+            async with LocalCluster({"coin": keys_cks05}) as cluster:
+                client = cluster.client()
                 for _ in range(3):
                     await client.refresh_key("coin")
                 value = await client.flip_coin("coin", b"after-three")
                 assert len(value) == 32
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_refresh_sg02_key_keeps_old_ciphertexts_decryptable(self, keys_sg02):
         async def scenario():
-            nodes, client = await _network({"enc": keys_sg02})
-            try:
+            async with LocalCluster({"enc": keys_sg02}) as cluster:
+                client = cluster.client()
                 ciphertext = await client.encrypt("enc", b"pre-refresh secret", b"l")
                 await client.refresh_key("enc")
                 # Ciphertexts made before the refresh still decrypt: the
                 # public key never changed.
                 plaintext = await client.decrypt("enc", ciphertext, b"l")
                 assert plaintext == b"pre-refresh secret"
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_refresh_kg20_key(self, keys_kg20):
         async def scenario():
-            nodes, client = await _network({"wallet": keys_kg20})
-            try:
+            async with LocalCluster({"wallet": keys_kg20}) as cluster:
+                client = cluster.client()
                 await client.refresh_key("wallet")
                 signature = await client.sign("wallet", b"post-refresh")
                 assert await client.verify_signature(
                     "wallet", b"post-refresh", signature
                 )
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_refresh_rejects_non_dl_schemes(self, keys_bls04):
         async def scenario():
-            nodes, client = await _network({"sig": keys_bls04})
-            try:
+            async with LocalCluster({"sig": keys_bls04}) as cluster:
+                client = cluster.client()
                 with pytest.raises(RpcError):
                     await client.refresh_key("sig")
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 

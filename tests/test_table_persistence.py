@@ -9,7 +9,6 @@ through the ``repro_fixedbase_*`` gauges).
 """
 
 import asyncio
-from dataclasses import replace
 
 import pytest
 
@@ -250,33 +249,15 @@ def test_node_restart_rebuilds_zero_tables(tmp_path, keys_bls04, keys_cks05):
     rebuilds zero tables for the bases life 1 saw.  Fresh traffic may
     still promote *new* bases (each life's message hashes recur within
     that life), so the accounting is by base key, not a flat zero."""
-    from repro.network.local import LocalHub
-    from repro.service.client import ThetacryptClient
-    from repro.service.config import make_local_configs
-    from repro.service.node import ThetacryptNode
     from repro.telemetry import default_registry
+    from repro.testing import LocalCluster
 
-    key_material = {"bls04": keys_bls04, "cks05": keys_cks05}
-
-    def configs():
-        return [
-            replace(c, data_dir=str(tmp_path / f"node{c.node_id}"))
-            for c in make_local_configs(4, 1, transport="local", rpc_base_port=0)
-        ]
-
-    async def boot():
-        hub = LocalHub()
-        nodes = []
-        for config in configs():
-            node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-            for key_id, km in key_material.items():
-                node.install_key(
-                    key_id, km.scheme, km.public_key, km.share_for(config.node_id)
-                )
-            await node.start()
-            nodes.append(node)
-        client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
-        return nodes, client
+    def cluster():
+        return LocalCluster(
+            {"bls04": keys_bls04, "cks05": keys_cks05},
+            latency=0.0,
+            data_dir=tmp_path,
+        )
 
     async def traffic(client, life):
         # Enough repetition that every recurring base (generators, public
@@ -290,11 +271,6 @@ def test_node_restart_rebuilds_zero_tables(tmp_path, keys_bls04, keys_cks05):
             coin = await client.flip_coin("cks05", f"coin {life}.{i}".encode())
             assert len(coin) == 32
 
-    async def shutdown(nodes, client):
-        await client.close()
-        for node in nodes:
-            await node.stop()
-
     def fixedbase_gauges():
         registry = default_registry()
         registry.collect()
@@ -307,20 +283,17 @@ def test_node_restart_rebuilds_zero_tables(tmp_path, keys_bls04, keys_cks05):
         return {(t.base.group.name, t.base.to_bytes()) for t in snapshot_tables()}
 
     async def first_life():
-        nodes, client = await boot()
-        try:
-            await traffic(client, 1)
-        finally:
-            await shutdown(nodes, client)
+        async with cluster() as life:
+            await traffic(life.client(), 1)
         stats = precompute_stats()
         assert stats["tables_built"] > 0, "traffic never promoted a base"
         return stats["tables_built"], cache_keys()
 
     async def second_life(built_before, seen_keys):
-        nodes, client = await boot()
-        try:
-            loaded = sum(n._recovery.get("tables_loaded", 0) for n in nodes)
-            discarded = sum(n._recovery.get("tables_discarded", 0) for n in nodes)
+        async with cluster() as life:
+            client = life.client()
+            loaded = sum(n._recovery.get("tables_loaded", 0) for n in life.nodes)
+            discarded = sum(n._recovery.get("tables_discarded", 0) for n in life.nodes)
             assert discarded == 0
             assert loaded > 0, "nothing was persisted for the second life"
             stats = precompute_stats()
@@ -335,8 +308,6 @@ def test_node_restart_rebuilds_zero_tables(tmp_path, keys_bls04, keys_cks05):
             assert stats["hits"] == built_before
             assert stats["tables_built"] == 0
             await traffic(client, 2)
-        finally:
-            await shutdown(nodes, client)
         stats = precompute_stats()
         # The headline invariant: any table built in life 2 is for a base
         # life 1 never promoted (this life's fresh message hashes) — the

@@ -2,58 +2,20 @@
 and trace-context propagation across a full multi-node request."""
 
 import asyncio
-from dataclasses import replace
 
 import pytest
 
-from repro.network.local import LocalHub
-from repro.service.client import ThetacryptClient
-from repro.service.config import make_local_configs
-from repro.service.node import ThetacryptNode, derive_instance_id
-from repro.telemetry import parse_text
-
-
-async def _start_network(keys, key_id, *, metrics_port=None, parties=4):
-    configs = make_local_configs(parties, 1, transport="local", rpc_base_port=0)
-    hub = LocalHub(latency=lambda a, b: 0.001)
-    nodes = []
-    for config in configs:
-        if metrics_port is not None:
-            config = replace(config, metrics_port=metrics_port)
-        node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-        node.install_key(
-            key_id, keys.scheme, keys.public_key, keys.share_for(config.node_id)
-        )
-        await node.start()
-        nodes.append(node)
-    client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
-    return nodes, client
-
-
-async def _teardown(nodes, client):
-    await client.close()
-    for node in nodes:
-        await node.stop()
-
-
-def _metric(parsed, name, **labels):
-    """Look a sample up by name and a *subset* of its labels."""
-    wanted = set(labels.items())
-    matches = [
-        value
-        for (sample_name, sample_labels), value in parsed.items()
-        if sample_name == name and wanted <= set(sample_labels)
-    ]
-    assert matches, f"no sample {name} with labels {labels}"
-    return sum(matches)
+from repro.service.node import derive_instance_id
+from repro.telemetry import parse_text, sample_sum
+from repro.testing import LocalCluster
 
 
 @pytest.mark.integration
 class TestMetricsEndpoints:
     def test_multi_node_sign_exposes_metrics(self, keys_bls04):
         async def scenario():
-            nodes, client = await _start_network(keys_bls04, "sig")
-            try:
+            async with LocalCluster({"sig": keys_bls04}) as cluster:
+                client = cluster.client()
                 signature = await client.sign("sig", b"observable")
                 assert await client.verify_signature("sig", b"observable", signature)
 
@@ -61,14 +23,14 @@ class TestMetricsEndpoints:
                 parsed = parse_text(text)
 
                 # Per-method RPC latency histogram with consistent count/sum.
-                rpc_count = _metric(
+                rpc_count = sample_sum(
                     parsed, "repro_rpc_latency_seconds_count", method="sign"
                 )
                 assert rpc_count >= 1
-                assert _metric(
+                assert sample_sum(
                     parsed, "repro_rpc_latency_seconds_sum", method="sign"
                 ) > 0
-                assert _metric(
+                assert sample_sum(
                     parsed,
                     "repro_rpc_latency_seconds_bucket",
                     method="sign",
@@ -76,46 +38,44 @@ class TestMetricsEndpoints:
                 ) == rpc_count
 
                 # Per-round TRI durations for the instance.
-                assert _metric(
+                assert sample_sum(
                     parsed,
                     "repro_tri_round_seconds_count",
                     scheme="bls04",
                     round="0",
                 ) >= 1
-                assert _metric(
+                assert sample_sum(
                     parsed, "repro_tri_messages_total", scheme="bls04",
                     outcome="accepted",
                 ) >= 1
-                assert _metric(
+                assert sample_sum(
                     parsed, "repro_instances_total", scheme="bls04",
                     status="finished",
                 ) >= 1
 
                 # Network bytes/message counters per channel (local transport).
                 for direction in ("sent", "received"):
-                    assert _metric(
+                    assert sample_sum(
                         parsed,
                         "repro_network_bytes_total",
                         node="1",
                         channel="local",
                         direction=direction,
                     ) > 0
-                    assert _metric(
+                    assert sample_sum(
                         parsed,
                         "repro_network_messages_total",
                         node="1",
                         channel="local",
                         direction=direction,
                     ) > 0
-                assert _metric(
+                assert sample_sum(
                     parsed, "repro_network_dispatch_total", node="1"
                 ) >= 1
 
                 # The PR-1 crypto cache counters, now registry gauges.
                 assert ("repro_crypto_cache", (("cache", "fixed_base"), ("stat", "hits"))) in parsed
                 assert ("repro_crypto_cache", (("cache", "lagrange"), ("stat", "hits"))) in parsed
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -124,8 +84,8 @@ class TestMetricsEndpoints:
         metrics (each node owns a private registry)."""
 
         async def scenario():
-            nodes, client = await _start_network(keys_cks05, "coin")
-            try:
+            async with LocalCluster({"coin": keys_cks05}) as cluster:
+                client = cluster.client()
                 await client.call(1, "list_keys", {})
                 parsed_two = parse_text(await client.metrics(2))
                 samples = [
@@ -135,19 +95,15 @@ class TestMetricsEndpoints:
                     and ("method", "list_keys") in labels
                 ]
                 assert samples == []
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_http_scrape_endpoint(self, keys_cks05):
         async def scenario():
-            nodes, client = await _start_network(
-                keys_cks05, "coin", metrics_port=0
-            )
-            try:
+            async with LocalCluster({"coin": keys_cks05}, metrics_port=0) as cluster:
+                client = cluster.client()
                 await client.flip_coin("coin", b"scrape-me")
-                host, port = nodes[0].metrics_address
+                host, port = cluster.nodes[0].metrics_address
                 assert port != 0  # ephemeral port was bound
 
                 async def get(path):
@@ -165,21 +121,19 @@ class TestMetricsEndpoints:
                 assert head.startswith("HTTP/1.1 200 OK")
                 assert "text/plain; version=0.0.4" in head
                 parsed = parse_text(body)
-                assert _metric(
+                assert sample_sum(
                     parsed, "repro_rpc_latency_seconds_count", method="flip_coin"
                 ) >= 1
 
                 head, _ = await get("/nope")
                 assert head.startswith("HTTP/1.1 404")
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
     def test_stats_percentiles_from_histogram(self, keys_cks05):
         async def scenario():
-            nodes, client = await _start_network(keys_cks05, "coin")
-            try:
+            async with LocalCluster({"coin": keys_cks05}) as cluster:
+                client = cluster.client()
                 for i in range(4):
                     await client.flip_coin("coin", b"p%d" % i)
                 stats = await client.node_stats(1)
@@ -189,13 +143,11 @@ class TestMetricsEndpoints:
                     assert summary[key] > 0
                 assert summary["p50"] <= summary["p95"] <= summary["p99"] <= summary["max"]
                 # Exact interpolated median over the four recorded samples.
-                child = nodes[0].registry.get("repro_instance_seconds").labels("cks05")
+                child = cluster.nodes[0].registry.get("repro_instance_seconds").labels("cks05")
                 ordered = sorted(child.samples())
                 assert summary["p50"] == pytest.approx(
                     (ordered[1] + ordered[2]) / 2
                 )
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -204,8 +156,8 @@ class TestMetricsEndpoints:
 class TestTracePropagation:
     def test_sign_trace_spans_rounds_and_hops(self, keys_bls04):
         async def scenario():
-            nodes, client = await _start_network(keys_bls04, "sig")
-            try:
+            async with LocalCluster({"sig": keys_bls04}) as cluster:
+                client = cluster.client()
                 await client.sign("sig", b"traced")
                 instance_id = derive_instance_id("sign", "sig", b"traced", b"")
 
@@ -241,8 +193,6 @@ class TestTracePropagation:
                         # sending peer stamped into the envelope.
                         assert attrs["origin_trace"] in peer_traces
                         assert attrs["sender"] in client.node_ids
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())
 
@@ -253,26 +203,26 @@ class TestServerShutdownSemantics:
         """stop() must gather the cancelled handler tasks, not abandon them."""
 
         async def scenario():
-            nodes, client = await _start_network(keys_cks05, "coin", parties=4)
-            node = nodes[0]
+            cluster = LocalCluster({"coin": keys_cks05})
+            await cluster.start()
+            client = cluster.client()
+            node = cluster.nodes[0]
             # Park a request that will never finish (unknown peers only get
             # one share) so a handler task is in flight during stop().
             asyncio.get_running_loop().create_task(
                 client.call(1, "status", {"instance_id": "missing"})
             )
             await asyncio.sleep(0.05)
-            await client.close()
-            for n in nodes:
-                await n.stop()
+            await cluster.stop()
             assert not node.rpc._tasks  # gathered, not leaked
 
         asyncio.run(scenario())
 
     def test_abrupt_client_disconnect_closes_writer(self, keys_cks05):
         async def scenario():
-            nodes, client = await _start_network(keys_cks05, "coin", parties=4)
-            try:
-                host, port = nodes[0].rpc_address
+            async with LocalCluster({"coin": keys_cks05}) as cluster:
+                client = cluster.client()
+                host, port = cluster.nodes[0].rpc_address
                 reader, writer = await asyncio.open_connection(host, port)
                 writer.write(b'{"id": 1, "method": "ping", "params": {}}\n')
                 await writer.drain()
@@ -281,7 +231,5 @@ class TestServerShutdownSemantics:
                 # side rather than leak the writer.
                 writer.transport.abort()
                 await asyncio.sleep(0.05)
-            finally:
-                await _teardown(nodes, client)
 
         asyncio.run(scenario())

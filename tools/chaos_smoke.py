@@ -27,12 +27,9 @@ if __package__ is None and __name__ == "__main__":  # pragma: no cover
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.network.faults import Crash, FaultInjector, FaultPlan, LinkFaults
-from repro.network.local import LocalHub
 from repro.schemes import generate_keys
-from repro.service.client import ThetacryptClient
-from repro.service.config import make_local_configs
-from repro.service.node import ThetacryptNode
-from repro.telemetry import parse_text
+from repro.telemetry import parse_text, sample_sum
+from repro.testing import LocalCluster
 
 PARTIES, THRESHOLD = 4, 1
 SEED = 2026
@@ -47,41 +44,17 @@ PLAN = FaultPlan(
 )
 
 
-def metric_sum(parsed, name: str, **labels) -> float:
-    wanted = set(labels.items())
-    values = [
-        value
-        for (sample_name, sample_labels), value in parsed.items()
-        if sample_name == name and wanted <= set(sample_labels)
-    ]
-    if not values:
-        raise AssertionError(f"scrape is missing {name} with labels {labels}")
-    return sum(values)
-
-
 async def run_cluster(key_sets) -> tuple[bytes, str]:
     """One full chaos run; returns (recovered plaintext, metrics scrape)."""
-    configs = make_local_configs(
+    async with LocalCluster(
+        key_sets,
         PARTIES,
         THRESHOLD,
-        transport="local",
-        rpc_base_port=0,
+        latency=0.0005,
         fault_plan=PLAN,
         instance_timeout=15.0,
-    )
-    hub = LocalHub(latency=lambda a, b: 0.0005)
-    nodes: list[ThetacryptNode] = []
-    for config in configs:
-        node = ThetacryptNode(config, transport=hub.endpoint(config.node_id))
-        for key_id, keys in key_sets.items():
-            node.install_key(
-                key_id, keys.scheme, keys.public_key,
-                keys.share_for(config.node_id),
-            )
-        await node.start()
-        nodes.append(node)
-    client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
-    try:
+    ) as cluster:
+        client = cluster.client()
         ciphertext = await client.encrypt(
             "cipher-sg02", b"chaos smoke secret", b"l", node_id=1
         )
@@ -95,10 +68,6 @@ async def run_cluster(key_sets) -> tuple[bytes, str]:
 
         scrape = await client.metrics(1)
         return plaintext, scrape
-    finally:
-        await client.close()
-        for node in nodes:
-            await node.stop()
 
 
 def assert_identical_schedule() -> None:
@@ -135,8 +104,10 @@ async def main() -> None:
             kind = dict(labels)["kind"]
             injected[kind] = injected.get(kind, 0.0) + value
     assert injected, "no repro_faults_injected samples in the scrape"
-    assert metric_sum(parsed, "repro_faults_injected", kind="crash") >= 1
-    assert metric_sum(parsed, "repro_faults_injected", kind="corrupt") >= 1
+    for kind in ("crash", "corrupt"):
+        assert sample_sum(parsed, "repro_faults_injected", kind=kind) >= 1, (
+            f"scrape is missing repro_faults_injected with kind={kind}"
+        )
     print(f"  faults visible in scrape: {injected}")
 
     assert_identical_schedule()

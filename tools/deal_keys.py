@@ -31,136 +31,43 @@ number of routers with ``python3 -m repro.router.daemon``.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
-from dataclasses import replace
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.errors import ConfigurationError  # noqa: E402
 from repro.router.topology import Topology  # noqa: E402
-from repro.schemes import generate_keys  # noqa: E402
-from repro.schemes.keystore import export_public_key, node_keystore  # noqa: E402
-from repro.serialization import hexlify  # noqa: E402
-from repro.service.config import make_local_configs  # noqa: E402
+from repro.service.deploy import deal_deployment  # noqa: E402
 
 
-def scheme_of(key_id: str) -> str:
-    """``tenant/app/bls04`` → ``bls04``; bare scheme names pass through."""
-    return key_id.rsplit("/", 1)[-1]
-
-
-def write_group(out, configs, material, data_dir):
-    """Write one group's per-node config + keystore files."""
-    if data_dir:
-        configs = [
-            replace(c, data_dir=str(out / f"node{c.node_id}" / "data"))
-            for c in configs
-        ]
-    for config in configs:
-        node_dir = out / f"node{config.node_id}"
-        node_dir.mkdir(parents=True, exist_ok=True)
-        (node_dir / "config.json").write_text(config.to_json())
-        (node_dir / "keystore.json").write_text(
-            node_keystore(material, config.node_id)
-        )
-    return configs
-
-
-def deal_single(args, key_ids) -> None:
-    material = {
-        key_id: generate_keys(
-            scheme_of(key_id), args.threshold, args.parties, rsa_bits=args.rsa_bits
-        )
-        for key_id in key_ids
-    }
-    configs = make_local_configs(
-        args.parties,
-        args.threshold,
-        base_port=args.base_port,
-        rpc_base_port=args.rpc_base_port,
-        host=args.host,
-    )
-    out = pathlib.Path(args.out)
-    configs = write_group(out, configs, material, args.data_dir)
-    public = {
-        key_id: {
-            "scheme": km.scheme,
-            "public_key": hexlify(export_public_key(km.scheme, km.public_key)),
-        }
-        for key_id, km in material.items()
-    }
-    (out / "public_keys.json").write_text(json.dumps(public, indent=2))
-    print(
-        f"dealt {len(key_ids)} keys for a {args.threshold + 1}-of-{args.parties} "
-        f"network under {out}/"
-    )
-    print("start nodes with:")
-    for config in configs:
-        print(
-            f"  python3 -m repro.service.daemon "
-            f"--config {out}/node{config.node_id}/config.json "
-            f"--keystore {out}/node{config.node_id}/keystore.json"
-        )
-
-
-def deal_federation(args, key_ids) -> None:
-    topology = Topology.from_json(pathlib.Path(args.topology).read_text())
-    owned = topology.partition_keys(key_ids)
-    out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    public: dict[str, dict] = {}
-    commands: list[str] = []
-    for spec in topology.groups:
-        group_keys = owned[spec.group_id]
-        material = {
-            key_id: generate_keys(
-                scheme_of(key_id),
-                spec.threshold,
-                spec.parties,
-                rsa_bits=args.rsa_bits,
+def print_start_commands(dealt, out, topology) -> None:
+    """Summarize what was dealt and how to start it."""
+    for group in dealt:
+        config = group.configs[0]
+        shape = f"{config.threshold + 1}-of-{config.parties}"
+        if group.group_id is None:
+            print(
+                f"dealt {len(group.key_ids)} keys for a {shape} network "
+                f"under {out}/"
             )
-            for key_id in group_keys
-        }
-        configs = make_local_configs(
-            spec.parties,
-            spec.threshold,
-            base_port=spec.base_port or args.base_port,
-            rpc_base_port=spec.rpc_base_port or args.rpc_base_port,
-            host=spec.host,
-            group_id=spec.group_id,
-            topology=topology,
-        )
-        group_dir = out / f"group-{spec.group_id}"
-        configs = write_group(group_dir, configs, material, args.data_dir)
-        for key_id, km in material.items():
-            public[key_id] = {
-                "scheme": km.scheme,
-                "group": spec.group_id,
-                "public_key": hexlify(
-                    export_public_key(km.scheme, km.public_key)
-                ),
-            }
-        for config in configs:
-            commands.append(
+        else:
+            print(
+                f"group {group.group_id}: dealt {len(group.key_ids)} keys "
+                f"({', '.join(group.key_ids) or 'none'}) as {shape}"
+            )
+    print("start nodes with:")
+    for group in dealt:
+        for config in group.configs:
+            node_dir = group.directory / f"node{config.node_id}"
+            print(
                 f"  python3 -m repro.service.daemon "
-                f"--config {group_dir}/node{config.node_id}/config.json "
-                f"--keystore {group_dir}/node{config.node_id}/keystore.json"
+                f"--config {node_dir}/config.json "
+                f"--keystore {node_dir}/keystore.json"
             )
-        print(
-            f"group {spec.group_id}: dealt {len(group_keys)} keys "
-            f"({', '.join(group_keys) or 'none'}) "
-            f"as {spec.threshold + 1}-of-{spec.parties}"
-        )
-    (out / "public_keys.json").write_text(json.dumps(public, indent=2))
-    # The same document the nodes embed, for routers and clients to load.
-    (out / "topology.json").write_text(topology.to_json())
-    print("start nodes with:")
-    for command in commands:
-        print(command)
-    print("start a router with:")
-    print(f"  python3 -m repro.router.daemon --topology {out}/topology.json")
+    if topology is not None:
+        print("start a router with:")
+        print(f"  python3 -m repro.router.daemon --topology {out}/topology.json")
 
 
 def main() -> None:
@@ -199,10 +106,24 @@ def main() -> None:
     key_ids = [k.strip() for k in raw.split(",") if k.strip()]
     if not key_ids:
         raise ConfigurationError("no keys requested")
-    if args.topology:
-        deal_federation(args, key_ids)
-    else:
-        deal_single(args, key_ids)
+    topology = (
+        Topology.from_json(pathlib.Path(args.topology).read_text())
+        if args.topology
+        else None
+    )
+    dealt = deal_deployment(
+        args.out,
+        key_ids,
+        parties=args.parties,
+        threshold=args.threshold,
+        base_port=args.base_port,
+        rpc_base_port=args.rpc_base_port,
+        host=args.host,
+        rsa_bits=args.rsa_bits,
+        data_dir=args.data_dir,
+        topology=topology,
+    )
+    print_start_commands(dealt, pathlib.Path(args.out), topology)
 
 
 if __name__ == "__main__":

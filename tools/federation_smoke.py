@@ -25,22 +25,17 @@ Exit status 0 on success; prints the offending assertion otherwise.
 from __future__ import annotations
 
 import asyncio
-import os
-import signal
-import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
 if __package__ is None and __name__ == "__main__":  # pragma: no cover
-    sys.path.insert(0, str(REPO / "src"))
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.errors import RpcError  # noqa: E402
 from repro.router.topology import GroupSpec, Topology  # noqa: E402
 from repro.service.client import ThetacryptClient  # noqa: E402
 from repro.telemetry import parse_text  # noqa: E402
+from repro.testing import DaemonCluster  # noqa: E402
 
 # Distinct from the other smoke gates' port ranges so they can run back
 # to back (TIME_WAIT) or even concurrently.
@@ -49,11 +44,6 @@ BETA_BASE, BETA_RPC = 23300, 23400
 ROUTER_PORT = 23500
 PARTIES, THRESHOLD = 2, 1
 CONCURRENT_DECRYPTS = 8
-
-CHILD_ENV = dict(
-    os.environ,
-    PYTHONPATH=str(REPO / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""),
-)
 
 TOPOLOGY = Topology(
     groups=(
@@ -70,46 +60,6 @@ TOPOLOGY = Topology(
 )
 
 
-def spawn_node(out: Path, group_id: str, node_id: int) -> subprocess.Popen:
-    group_dir = out / f"group-{group_id}" / f"node{node_id}"
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.service.daemon",
-            "--config", str(group_dir / "config.json"),
-            "--keystore", str(group_dir / "keystore.json"),
-        ],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        env=CHILD_ENV,
-    )
-
-
-def spawn_router(out: Path) -> subprocess.Popen:
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.router.daemon",
-            "--topology", str(out / "topology.json"),
-            "--rpc-port", str(ROUTER_PORT),
-        ],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        env=CHILD_ENV,
-    )
-
-
-async def wait_for_ping(client: ThetacryptClient, node_id: int = 0) -> dict:
-    for _ in range(150):
-        try:
-            return await client.call(node_id, "ping", {})
-        except (OSError, RpcError):
-            await asyncio.sleep(0.2)
-    raise AssertionError("router never answered ping")
-
-
 def shard_requests(metrics_text: str) -> dict[str, dict[str, float]]:
     """``group -> outcome -> count`` from a router scrape."""
     shards: dict[str, dict[str, float]] = {}
@@ -124,7 +74,7 @@ def shard_requests(metrics_text: str) -> dict[str, dict[str, float]]:
 
 async def drive(client: ThetacryptClient) -> list[bytes]:
     """Both shards through the router; returns ciphertexts for the kill."""
-    pong = await wait_for_ping(client)
+    pong = await client.call(0, "ping", {})
     assert set(pong.get("groups", [])) == {"alpha", "beta"}, pong
     print(f"  router up, fronting groups {pong['groups']}")
 
@@ -158,109 +108,60 @@ async def drive(client: ThetacryptClient) -> list[bytes]:
 
 
 async def kill_and_restart_router(
-    out: Path, router: subprocess.Popen, ciphertexts: list[bytes]
-) -> subprocess.Popen:
+    cluster: DaemonCluster, ciphertexts: list[bytes]
+) -> None:
     """SIGKILL the router mid-workload; every accepted request completes."""
     # A patient client: it must ride out the router's death (connection
     # resets) and keep retrying the idempotent decrypts until the
     # replacement router answers.
-    client = ThetacryptClient(
-        {0: ("127.0.0.1", ROUTER_PORT)},
-        max_retries=40,
-        retry_base=0.05,
-        retry_cap=0.5,
-    )
-    try:
-        tasks = [
-            asyncio.ensure_future(
-                client.decrypt("sg02", ciphertext, b"smoke")
-            )
-            for ciphertext in ciphertexts
-        ]
-        await asyncio.sleep(0.15)  # let the workload reach the router
-        router.kill()
-        router.wait(timeout=30)
-        print(f"  router SIGKILLed with {len(tasks)} decrypts in flight")
-        await asyncio.sleep(0.3)
-        replacement = spawn_router(out)
-        results = await asyncio.gather(*tasks)
-        for index, plaintext in enumerate(results):
-            assert plaintext == f"kill-phase-{index}".encode(), (
-                f"request {index} corrupted after router restart"
-            )
-        print(
-            f"  all {len(results)} in-flight decrypts completed through "
-            f"the restarted router (no accepted request lost)"
+    client = cluster.client(max_retries=40, retry_base=0.05, retry_cap=0.5)
+    tasks = [
+        asyncio.ensure_future(
+            client.decrypt("sg02", ciphertext, b"smoke")
         )
-        return replacement
-    finally:
-        await client.close()
+        for ciphertext in ciphertexts
+    ]
+    await asyncio.sleep(0.15)  # let the workload reach the router
+    cluster.kill(cluster.ROUTER)
+    print(f"  router SIGKILLed with {len(tasks)} decrypts in flight")
+    await asyncio.sleep(0.3)
+    await cluster.restart(cluster.ROUTER)
+    results = await asyncio.gather(*tasks)
+    for index, plaintext in enumerate(results):
+        assert plaintext == f"kill-phase-{index}".encode(), (
+            f"request {index} corrupted after router restart"
+        )
+    print(
+        f"  all {len(results)} in-flight decrypts completed through "
+        f"the restarted router (no accepted request lost)"
+    )
 
 
-def main() -> None:
+async def main() -> None:
     with tempfile.TemporaryDirectory(prefix="federation-smoke-") as tmp:
         out = Path(tmp)
-        (out / "topology.json").write_text(TOPOLOGY.to_json())
         print("dealing disjoint keys across 2 groups ...")
-        deal = subprocess.run(
-            [
-                sys.executable,
-                str(REPO / "tools" / "deal_keys.py"),
-                "--topology", str(out / "topology.json"),
-                "--keys", "sg02,bls04",
-                "--out", str(out),
-            ],
-            env=CHILD_ENV,
-            capture_output=True,
-            text=True,
-            timeout=300,
+        cluster = DaemonCluster(
+            out, ["sg02", "bls04"], topology=TOPOLOGY, router_port=ROUTER_PORT
         )
-        assert deal.returncode == 0, deal.stderr
-        # The dealer must have split the keyspace, not replicated it.
-        alpha_keys = (out / "group-alpha" / "node1" / "keystore.json").read_text()
-        beta_keys = (out / "group-beta" / "node1" / "keystore.json").read_text()
-        assert "sg02" in alpha_keys and "sg02" not in beta_keys
-        assert "bls04" in beta_keys and "bls04" not in alpha_keys
-        print("  keystores disjoint: alpha holds sg02, beta holds bls04")
+        async with cluster:
+            # The dealer must have split the keyspace, not replicated it.
+            alpha_keys = (out / "group-alpha" / "node1" / "keystore.json").read_text()
+            beta_keys = (out / "group-beta" / "node1" / "keystore.json").read_text()
+            assert "sg02" in alpha_keys and "sg02" not in beta_keys
+            assert "bls04" in beta_keys and "bls04" not in alpha_keys
+            print("  keystores disjoint: alpha holds sg02, beta holds bls04")
 
-        daemons = [
-            spawn_node(out, group_id, node_id)
-            for group_id in ("alpha", "beta")
-            for node_id in range(1, PARTIES + 1)
-        ]
-        router = spawn_router(out)
-        try:
+            ciphertexts = await drive(cluster.client())
+            await kill_and_restart_router(cluster, ciphertexts)
 
-            async def run() -> subprocess.Popen:
-                client = ThetacryptClient({0: ("127.0.0.1", ROUTER_PORT)})
-                try:
-                    ciphertexts = await drive(client)
-                finally:
-                    await client.close()
-                return await kill_and_restart_router(out, router, ciphertexts)
-
-            replacement = asyncio.run(run())
-            daemons.append(replacement)
-        finally:
-            if router.poll() is None:
-                router.terminate()
-            for daemon in daemons:
-                if daemon.poll() is None:
-                    daemon.terminate()
-            deadline = time.monotonic() + 30.0
-            for daemon in daemons + [router]:
-                remaining = max(0.1, deadline - time.monotonic())
-                try:
-                    daemon.wait(timeout=remaining)
-                except subprocess.TimeoutExpired:
-                    daemon.kill()
-
-        # No orphans: every spawned process (nodes, both routers) is gone.
-        leaked = [d.pid for d in daemons + [router] if d.poll() is None]
-        assert not leaked, f"processes survived shutdown: {leaked}"
+        # No orphans: every spawned process (nodes, both routers) exited
+        # on SIGTERM.
+        assert not cluster.unclean, (
+            f"processes survived SIGTERM: {cluster.unclean}"
+        )
         print("  all node/router processes exited after SIGTERM")
     print("federation smoke OK")
 
-
 if __name__ == "__main__":
-    main()
+    asyncio.run(main())

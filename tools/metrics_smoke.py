@@ -17,18 +17,15 @@ from __future__ import annotations
 
 import asyncio
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 if __package__ is None and __name__ == "__main__":  # pragma: no cover
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.network.local import LocalHub
 from repro.schemes import generate_keys
-from repro.service.client import ThetacryptClient
-from repro.service.config import make_local_configs
-from repro.service.node import ThetacryptNode, derive_instance_id
-from repro.telemetry import parse_text
+from repro.service.node import derive_instance_id
+from repro.telemetry import parse_text, sample_sum
+from repro.testing import LocalCluster
 
 PARTIES, THRESHOLD = 4, 1
 
@@ -46,18 +43,6 @@ REQUIRED_FAMILIES = [
     "repro_network_delivered_total",
     "repro_crypto_cache",
 ]
-
-
-def metric_sum(parsed, name: str, **labels) -> float:
-    wanted = set(labels.items())
-    values = [
-        value
-        for (sample_name, sample_labels), value in parsed.items()
-        if sample_name == name and wanted <= set(sample_labels)
-    ]
-    if not values:
-        raise AssertionError(f"scrape is missing {name} with labels {labels}")
-    return sum(values)
 
 
 async def scrape_http(host: str, port: int) -> str:
@@ -80,26 +65,14 @@ async def main() -> None:
         "coin-cks05": generate_keys("cks05", THRESHOLD, PARTIES),
     }
 
-    configs = make_local_configs(
-        PARTIES, THRESHOLD, transport="local", rpc_base_port=0
-    )
-    hub = LocalHub(latency=lambda a, b: 0.0005)
-    nodes: list[ThetacryptNode] = []
-    for config in configs:
-        node = ThetacryptNode(
-            replace(config, metrics_port=0),  # ephemeral HTTP scrape port
-            transport=hub.endpoint(config.node_id),
-        )
-        for key_id, keys in key_sets.items():
-            node.install_key(
-                key_id, keys.scheme, keys.public_key,
-                keys.share_for(config.node_id),
-            )
-        await node.start()
-        nodes.append(node)
-    client = ThetacryptClient({n.config.node_id: n.rpc_address for n in nodes})
-
-    try:
+    async with LocalCluster(
+        key_sets,
+        PARTIES,
+        THRESHOLD,
+        latency=0.0005,
+        metrics_port=0,  # ephemeral HTTP scrape port
+    ) as cluster:
+        client = cluster.client()
         print("running one request per endpoint family ...")
         # Protocol API.
         signature = await client.sign("sig-bls04", b"smoke")
@@ -115,7 +88,7 @@ async def main() -> None:
 
         print("scraping node 1 over RPC and HTTP ...")
         rpc_text = await client.metrics(1)
-        host, port = nodes[0].metrics_address
+        host, port = cluster.nodes[0].metrics_address
         http_text = await scrape_http(host, port)
 
         for label, text in (("rpc", rpc_text), ("http", http_text)):
@@ -126,17 +99,17 @@ async def main() -> None:
                     name == family for name, _ in parsed
                 ), f"{label} scrape is missing family {family}"
             for method in ("sign", "decrypt", "flip_coin"):
-                count = metric_sum(
+                count = sample_sum(
                     parsed, "repro_rpc_latency_seconds_count", method=method
                 )
                 assert count >= 1, f"{label}: no latency samples for {method}"
             for scheme in ("bls04", "sg02", "cks05"):
-                assert metric_sum(
+                assert sample_sum(
                     parsed, "repro_tri_round_seconds_count", scheme=scheme
-                ) >= 1
-            assert metric_sum(
+                ) >= 1, f"{label} scrape is missing TRI rounds for {scheme}"
+            assert sample_sum(
                 parsed, "repro_network_bytes_total", node="1", channel="local"
-            ) > 0
+            ) > 0, f"{label} scrape is missing local network bytes"
             print(f"  {label}: {len(parsed)} samples, all required families present")
 
         instance_id = derive_instance_id("sign", "sig-bls04", b"smoke", b"")
@@ -159,10 +132,6 @@ async def main() -> None:
             )
         )
         print("metrics smoke OK")
-    finally:
-        await client.close()
-        for node in nodes:
-            await node.stop()
 
 
 if __name__ == "__main__":

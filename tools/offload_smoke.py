@@ -28,19 +28,16 @@ from __future__ import annotations
 
 import asyncio
 import os
-import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
 if __package__ is None and __name__ == "__main__":  # pragma: no cover
-    sys.path.insert(0, str(REPO / "src"))
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.errors import RpcError  # noqa: E402
 from repro.service.client import ThetacryptClient  # noqa: E402
-from repro.telemetry import parse_text  # noqa: E402
+from repro.telemetry import parse_text, sample_sum  # noqa: E402
+from repro.testing import DaemonCluster, live_pids  # noqa: E402
 
 PARTIES, THRESHOLD = 4, 1
 # Distinct from metrics-smoke/chaos-smoke/recovery-smoke port ranges so the
@@ -48,53 +45,9 @@ PARTIES, THRESHOLD = 4, 1
 BASE_PORT, RPC_BASE_PORT = 22100, 22200
 CRYPTO_WORKERS = 2
 
-#: Environment for child processes: the daemons import ``repro`` from src.
-CHILD_ENV = dict(
-    os.environ,
-    PYTHONPATH=str(REPO / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""),
-)
-
-
-def spawn_daemon(out: Path, node_id: int) -> subprocess.Popen:
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.service.daemon",
-            "--config", str(out / f"node{node_id}" / "config.json"),
-            "--keystore", str(out / f"node{node_id}" / "keystore.json"),
-            "--crypto-workers", str(CRYPTO_WORKERS),
-        ],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        env=CHILD_ENV,
-    )
-
-
-async def wait_for_ping(client: ThetacryptClient, node_id: int) -> None:
-    for _ in range(150):
-        try:
-            await client.call(node_id, "ping", {})
-            return
-        except (OSError, RpcError):
-            await asyncio.sleep(0.2)
-    raise AssertionError(f"daemon {node_id} never answered ping")
-
-
-def pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - pid exists, owned elsewhere
-        return True
-    return True
-
 
 async def drive(client: ThetacryptClient) -> list[int]:
     """Run pooled requests, check stats + scrape; return all worker pids."""
-    for node_id in range(1, PARTIES + 1):
-        await wait_for_ping(client, node_id)
     print(f"  {PARTIES} daemons up with --crypto-workers {CRYPTO_WORKERS}")
 
     # SG02: threshold decryption (share creation + batched verification in
@@ -121,12 +74,7 @@ async def drive(client: ThetacryptClient) -> list[int]:
         )
         pids = pool.get("worker_pids", [])
         parsed = parse_text(await client.metrics(node_id))
-        pool_ok = sum(
-            value
-            for (name, labels), value in parsed.items()
-            if name == "repro_crypto_pool_tasks_total"
-            and dict(labels).get("outcome") == "ok"
-        )
+        pool_ok = sample_sum(parsed, "repro_crypto_pool_tasks_total", outcome="ok")
         if cores >= 2:
             # Multi-core host: the node's own pool takes every op.
             assert pool.get("enabled") and pool.get("reason") == "configured", (
@@ -156,80 +104,37 @@ async def drive(client: ThetacryptClient) -> list[int]:
                 f"node {node_id}: repro_crypto_pool_tasks_total ok={pool_ok}"
             )
         worker_pids.extend(pids)
-        lag_samples = sum(
-            value
-            for (name, _), value in parsed.items()
-            if name == "repro_event_loop_lag_seconds_count"
-        )
+        lag_samples = sample_sum(parsed, "repro_event_loop_lag_seconds_count")
         assert lag_samples >= 1, f"node {node_id}: loop-lag heartbeat silent"
     print(
         f"  pool stats + scrape OK on all nodes "
         f"({cores} cores, {len(worker_pids)} workers)"
     )
-    for pid in worker_pids:
-        assert pid_alive(pid), f"reported worker pid {pid} not alive"
+    dead = set(worker_pids) - set(live_pids(worker_pids))
+    assert not dead, f"reported worker pids not alive: {sorted(dead)}"
     return worker_pids
 
 
-def main() -> None:
+async def main() -> None:
     with tempfile.TemporaryDirectory(prefix="offload-smoke-") as tmp:
-        out = Path(tmp)
         print(f"dealing keys for a ({THRESHOLD}, {PARTIES}) network ...")
-        deal = subprocess.run(
-            [
-                sys.executable,
-                str(REPO / "tools" / "deal_keys.py"),
-                "--parties", str(PARTIES),
-                "--threshold", str(THRESHOLD),
-                "--schemes", "sg02,bls04",
-                "--base-port", str(BASE_PORT),
-                "--rpc-base-port", str(RPC_BASE_PORT),
-                "--out", str(out),
-            ],
-            env=CHILD_ENV,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert deal.returncode == 0, deal.stderr
-        daemons = [spawn_daemon(out, i) for i in range(1, PARTIES + 1)]
-        worker_pids: list[int] = []
-        try:
-
-            async def run() -> list[int]:
-                addresses = {
-                    i: ("127.0.0.1", RPC_BASE_PORT + i)
-                    for i in range(1, PARTIES + 1)
-                }
-                client = ThetacryptClient(addresses)
-                try:
-                    return await drive(client)
-                finally:
-                    await client.close()
-
-            worker_pids = asyncio.run(run())
-        finally:
-            for daemon in daemons:
-                if daemon.poll() is None:
-                    daemon.terminate()
-            for daemon in daemons:
-                try:
-                    daemon.wait(timeout=30)
-                except subprocess.TimeoutExpired:
-                    daemon.kill()
+        async with DaemonCluster(
+            tmp,
+            ["sg02", "bls04"],
+            PARTIES,
+            THRESHOLD,
+            base_port=BASE_PORT,
+            rpc_base_port=RPC_BASE_PORT,
+            daemon_args=["--crypto-workers", str(CRYPTO_WORKERS)],
+        ) as cluster:
+            worker_pids = await drive(cluster.client())
 
         # The orphan check: a SIGTERM'd daemon must take its pool down
-        # with it.  Workers exit asynchronously after the parent joins
-        # them, so poll briefly before declaring leakage.
-        deadline = time.monotonic() + 10.0
-        leaked = [pid for pid in worker_pids if pid_alive(pid)]
-        while leaked and time.monotonic() < deadline:
-            time.sleep(0.2)
-            leaked = [pid for pid in leaked if pid_alive(pid)]
+        # with it.
+        leaked = live_pids(worker_pids, grace=10.0)
         assert not leaked, f"worker processes survived daemon shutdown: {leaked}"
         print(f"  all {len(worker_pids)} worker processes gone after SIGTERM")
     print("offload smoke OK")
 
-
 if __name__ == "__main__":
-    main()
+    asyncio.run(main())

@@ -25,55 +25,22 @@ Exit status 0 on success; prints the offending assertion otherwise.
 from __future__ import annotations
 
 import asyncio
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
 if __package__ is None and __name__ == "__main__":  # pragma: no cover
-    sys.path.insert(0, str(REPO / "src"))
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.errors import RpcError  # noqa: E402
 from repro.serialization import hexlify  # noqa: E402
 from repro.service.client import ThetacryptClient  # noqa: E402
 from repro.service.node import derive_instance_id  # noqa: E402
-from repro.telemetry import parse_text  # noqa: E402
+from repro.telemetry import parse_text, sample_sum  # noqa: E402
+from repro.testing import DaemonCluster  # noqa: E402
 
 PARTIES, THRESHOLD = 4, 1
 BASE_PORT, RPC_BASE_PORT = 21700, 21800
-
-#: Environment for child processes: the daemons import ``repro`` from src.
-CHILD_ENV = dict(
-    os.environ,
-    PYTHONPATH=str(REPO / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""),
-)
-
-
-def spawn_daemon(out: Path, node_id: int) -> subprocess.Popen:
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.service.daemon",
-            "--config", str(out / f"node{node_id}" / "config.json"),
-            "--keystore", str(out / f"node{node_id}" / "keystore.json"),
-        ],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        env=CHILD_ENV,
-    )
-
-
-async def wait_for_ping(client: ThetacryptClient, node_id: int) -> None:
-    for _ in range(150):
-        try:
-            await client.call(node_id, "ping", {})
-            return
-        except (OSError, RpcError):
-            await asyncio.sleep(0.2)
-    raise AssertionError(f"daemon {node_id} never answered ping")
 
 
 async def wait_for_status(
@@ -92,131 +59,97 @@ async def wait_for_status(
     )
 
 
-async def drive(out: Path, daemons: list[subprocess.Popen]) -> None:
-    addresses = {i: ("127.0.0.1", RPC_BASE_PORT + i) for i in range(1, PARTIES + 1)}
-    client = ThetacryptClient(addresses)
-    try:
-        for node_id in range(1, PARTIES + 1):
-            await wait_for_ping(client, node_id)
-        print(f"  {PARTIES} daemons up (rpc ports {RPC_BASE_PORT + 1}..)")
+async def drive(cluster: DaemonCluster) -> None:
+    client = cluster.client()
+    print(f"  {PARTIES} daemons up (rpc ports {RPC_BASE_PORT + 1}..)")
 
-        # One fully finalized operation, cached durably on node 4.
-        done_data = b"finalized before the crash"
-        signature = await client.sign("bls04", done_data)
-        done_id = derive_instance_id("sign", "bls04", done_data, b"")
-        await wait_for_status(client, done_id, 4, {"finished"})
-        print("  pre-crash signature finalized on node 4")
+    # One fully finalized operation, cached durably on node 4.
+    done_data = b"finalized before the crash"
+    signature = await client.sign("bls04", done_data)
+    done_id = derive_instance_id("sign", "bls04", done_data, b"")
+    await wait_for_status(client, done_id, 4, {"finished"})
+    print("  pre-crash signature finalized on node 4")
 
-        # One request in flight on node 4 only: quorum is unreachable, so
-        # it is still pending when the process is killed.
-        pending_data = b"in flight at the crash"
-        pending_id = derive_instance_id("sign", "bls04", pending_data, b"")
-        submit = asyncio.ensure_future(
-            client.call(
-                4, "sign", {"key_id": "bls04", "data": hexlify(pending_data)}
-            )
+    # One request in flight on node 4 only: quorum is unreachable, so
+    # it is still pending when the process is killed.
+    pending_data = b"in flight at the crash"
+    pending_id = derive_instance_id("sign", "bls04", pending_data, b"")
+    submit = asyncio.ensure_future(
+        client.call(
+            4, "sign", {"key_id": "bls04", "data": hexlify(pending_data)}
         )
-        await wait_for_status(client, pending_id, 4, {"created", "running"})
+    )
+    await wait_for_status(client, pending_id, 4, {"created", "running"})
 
-        # kill -9 mid-protocol.
-        daemons[3].kill()
-        daemons[3].wait(timeout=10)
-        submit.cancel()
-        await asyncio.gather(submit, return_exceptions=True)
-        print("  node 4 SIGKILLed with one instance in flight")
+    # kill -9 mid-protocol.
+    cluster.kill(4)
+    submit.cancel()
+    await asyncio.gather(submit, return_exceptions=True)
+    print("  node 4 SIGKILLed with one instance in flight")
 
-        # Restart from the same data_dir.
-        daemons[3] = spawn_daemon(out, 4)
-        await wait_for_ping(client, 4)
+    # Restart from the same data_dir.
+    await cluster.restart(4)
 
-        stats = await client.node_stats(4)
-        assert stats["keys"] == 2, f"keys not recovered: {stats['keys']}"
-        recovery = stats["recovery"]
-        assert recovery.get("keys") == 2, f"bad recovery stats: {recovery}"
-        assert recovery.get("results", 0) >= 1, f"no cached results: {recovery}"
-        assert recovery.get("aborted", 0) >= 1, f"no recovered aborts: {recovery}"
-        assert stats["aborts"].get("crash_recovery", 0) >= 1, stats["aborts"]
-        print(f"  recovery stats: {recovery}")
+    stats = await client.node_stats(4)
+    assert stats["keys"] == 2, f"keys not recovered: {stats['keys']}"
+    recovery = stats["recovery"]
+    assert recovery.get("keys") == 2, f"bad recovery stats: {recovery}"
+    assert recovery.get("results", 0) >= 1, f"no cached results: {recovery}"
+    assert recovery.get("aborted", 0) >= 1, f"no recovered aborts: {recovery}"
+    assert stats["aborts"].get("crash_recovery", 0) >= 1, stats["aborts"]
+    print(f"  recovery stats: {recovery}")
 
-        # Duplicate of the finalized request: answered from the durable
-        # result cache, byte-identical.
-        replayed = await client.call(
-            4, "sign", {"key_id": "bls04", "data": hexlify(done_data)}
-        )
-        assert replayed["result"] == hexlify(signature), (
-            "cached result differs from the pre-crash signature"
-        )
-        print("  duplicate request served from the durable result cache")
+    # Duplicate of the finalized request: answered from the durable
+    # result cache, byte-identical.
+    replayed = await client.call(
+        4, "sign", {"key_id": "bls04", "data": hexlify(done_data)}
+    )
+    assert replayed["result"] == hexlify(signature), (
+        "cached result differs from the pre-crash signature"
+    )
+    print("  duplicate request served from the durable result cache")
 
-        # The in-flight-at-crash instance is a structured abort.
-        status = await client.status(pending_id, node_id=4)
-        assert status["status"] == "failed", status
-        assert status["abort_reason"] == "crash_recovery", status
-        print("  in-flight instance reported as crash_recovery abort")
+    # The in-flight-at-crash instance is a structured abort.
+    status = await client.status(pending_id, node_id=4)
+    assert status["status"] == "failed", status
+    assert status["abort_reason"] == "crash_recovery", status
+    print("  in-flight instance reported as crash_recovery abort")
 
-        # Recovery metrics in the Prometheus scrape.
-        parsed = parse_text(await client.metrics(4))
-        recovered = {
-            dict(labels).get("outcome"): value
-            for (name, labels), value in parsed.items()
-            if name == "repro_recovery_instances_total"
-        }
-        runs = sum(
-            value
-            for (name, _), value in parsed.items()
-            if name == "repro_recovery_runs_total"
-        )
-        assert runs >= 1, "repro_recovery_runs_total missing from scrape"
-        assert recovered.get("aborted", 0) >= 1, recovered
-        print(f"  scrape: recovery runs={runs:.0f}, instances={recovered}")
+    # Recovery metrics in the Prometheus scrape.
+    parsed = parse_text(await client.metrics(4))
+    recovered = {
+        dict(labels).get("outcome"): value
+        for (name, labels), value in parsed.items()
+        if name == "repro_recovery_instances_total"
+    }
+    runs = sample_sum(parsed, "repro_recovery_runs_total")
+    assert runs >= 1, "repro_recovery_runs_total missing from scrape"
+    assert recovered.get("aborted", 0) >= 1, recovered
+    print(f"  scrape: recovery runs={runs:.0f}, instances={recovered}")
 
-        # Liveness: the recovered node takes part in new protocol runs.
-        after = b"signed after recovery"
-        sig2 = await client.sign("bls04", after)
-        assert await client.verify_signature("bls04", after, sig2)
-        coin = await client.flip_coin("cks05", b"post-recovery coin")
-        assert len(coin) == 32
-        print("  cluster liveness after recovery confirmed")
-    finally:
-        await client.close()
+    # Liveness: the recovered node takes part in new protocol runs.
+    after = b"signed after recovery"
+    sig2 = await client.sign("bls04", after)
+    assert await client.verify_signature("bls04", after, sig2)
+    coin = await client.flip_coin("cks05", b"post-recovery coin")
+    assert len(coin) == 32
+    print("  cluster liveness after recovery confirmed")
 
 
-def main() -> None:
+async def main() -> None:
     with tempfile.TemporaryDirectory(prefix="recovery-smoke-") as tmp:
-        out = Path(tmp)
         print(f"dealing keys for a ({THRESHOLD}, {PARTIES}) network ...")
-        deal = subprocess.run(
-            [
-                sys.executable,
-                str(REPO / "tools" / "deal_keys.py"),
-                "--parties", str(PARTIES),
-                "--threshold", str(THRESHOLD),
-                "--schemes", "bls04,cks05",
-                "--base-port", str(BASE_PORT),
-                "--rpc-base-port", str(RPC_BASE_PORT),
-                "--out", str(out),
-                "--data-dir",
-            ],
-            env=CHILD_ENV,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert deal.returncode == 0, deal.stderr
-        daemons = [spawn_daemon(out, i) for i in range(1, PARTIES + 1)]
-        try:
-            asyncio.run(drive(out, daemons))
-        finally:
-            for daemon in daemons:
-                if daemon.poll() is None:
-                    daemon.terminate()
-            for daemon in daemons:
-                try:
-                    daemon.wait(timeout=10)
-                except subprocess.TimeoutExpired:
-                    daemon.kill()
+        async with DaemonCluster(
+            tmp,
+            ["bls04", "cks05"],
+            PARTIES,
+            THRESHOLD,
+            base_port=BASE_PORT,
+            rpc_base_port=RPC_BASE_PORT,
+            data_dir=True,
+        ) as cluster:
+            await drive(cluster)
     print("recovery smoke OK")
 
-
 if __name__ == "__main__":
-    main()
+    asyncio.run(main())
